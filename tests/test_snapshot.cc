@@ -515,6 +515,141 @@ TEST(CheckpointDeterminism, ConfigOrSeedDriftIsAHardError)
 }
 
 // ---------------------------------------------------------------------
+// Layer state: pinned bytes and field-level validation
+
+/** CRC-64 of @p simulation's assembled snapshot after @p events,
+ *  over every byte before the footer: the stored file CRC.  (The
+ *  CRC of the whole image is the same constant for every snapshot,
+ *  since the image ends with its own CRC and a fixed magic.) */
+std::uint64_t
+snapshotCrcAt(Simulation& simulation, std::uint64_t events)
+{
+    simulation.advanceToEvents(events);
+    SnapshotWriter writer;
+    simulation.saveState(writer);
+    const std::vector<std::uint8_t> image = writer.assemble();
+    return snapshot::crc64(image.data(), image.size() - 16);
+}
+
+TEST(SnapshotBytes, LayerStateImagesArePinned)
+{
+    // A changed value means the uqsim-snapshot-v1 bytes moved: a
+    // field was added, dropped, retyped or reordered.  That needs a
+    // kFormatVersion bump, not a new pin.
+    auto faulty = Simulation::fromBundle(faultyBundle(7));
+    EXPECT_EQ(snapshotCrcAt(*faulty, 7000), 0xf999cd9bd09c909bULL);
+
+    models::FanoutFatTreeParams flow;
+    flow.run.qps = 500.0;
+    flow.run.seed = 5;
+    flow.run.warmupSeconds = 0.1;
+    flow.run.durationSeconds = 0.4;
+    flow.fanout = 4;
+    ConfigBundle flowBundle = models::fanoutFatTreeBundle(flow);
+    flowBundle.faults = json::parse(
+        R"({"faults": [{"type": "network", "start_s": 0.15,)"
+        R"( "end_s": 0.3, "extra_latency_us": 200.0,)"
+        R"( "loss_prob": 0.05}]})");
+    auto fatTree = Simulation::fromBundle(std::move(flowBundle));
+    EXPECT_EQ(snapshotCrcAt(*fatTree, 5000), 0x004c74a6a0abbe43ULL);
+
+    models::CacheStampedeParams disk;
+    disk.run.qps = 1500.0;
+    disk.run.seed = 9;
+    disk.run.warmupSeconds = 0.1;
+    disk.run.durationSeconds = 0.5;
+    disk.run.clientConnections = 64;
+    auto stampede =
+        Simulation::fromBundle(models::cacheStampedeBundle(disk));
+    EXPECT_EQ(snapshotCrcAt(*stampede, 4000), 0x8f85091357a654b6ULL);
+}
+
+/** Adds one to the u64 at @p offset of section @p id's payload and
+ *  re-seals the section and whole-file CRC-64s (docs/FORMATS.md), so
+ *  the image passes every format check and only the field differs. */
+void
+bumpFieldAndReseal(std::vector<std::uint8_t>& image, SectionId id,
+                   std::size_t offset)
+{
+    const auto getLe = [&image](std::size_t at, int width) {
+        std::uint64_t value = 0;
+        for (int i = 0; i < width; ++i)
+            value |= std::uint64_t{image[at + i]} << (8 * i);
+        return value;
+    };
+    const auto putLe = [&image](std::size_t at, std::uint64_t value) {
+        for (int i = 0; i < 8; ++i)
+            image[at + i] = static_cast<std::uint8_t>(value >> (8 * i));
+    };
+    const std::uint64_t sections = getLe(12, 4);
+    for (std::size_t entry = 56; entry < 56 + 32 * sections;
+         entry += 32) {
+        if (getLe(entry, 4) != static_cast<std::uint64_t>(id))
+            continue;
+        const std::size_t start = getLe(entry + 8, 8);
+        const std::size_t length = getLe(entry + 16, 8);
+        ASSERT_LE(offset + 8, length) << snapshot::sectionName(id);
+        putLe(start + offset, getLe(start + offset, 8) + 1);
+        putLe(entry + 24, snapshot::crc64(image.data() + start, length));
+        const std::size_t body = image.size() - 16;
+        putLe(body, snapshot::crc64(image.data(), body));
+        return;
+    }
+    FAIL() << "no " << snapshot::sectionName(id) << " section";
+}
+
+TEST(CheckpointValidation, ChangedFieldInEachSectionIsNamed)
+{
+    DirJanitor janitor;
+    const std::string dir = janitor.track(tempDir("field"));
+    auto original = Simulation::fromBundle(faultyBundle(7));
+    original->advanceToTime(secondsToSimTime(0.5));
+    const std::string path =
+        snapshot::writeCheckpoint(*original, dir, "orig");
+    std::ifstream in(path, std::ios::binary);
+    const std::vector<std::uint8_t> image(
+        (std::istreambuf_iterator<char>(in)),
+        std::istreambuf_iterator<char>());
+
+    struct Case {
+        SectionId section;
+        std::size_t offset;
+        const char* field;
+    };
+    const Case cases[] = {
+        {SectionId::Engine, 64, "queue.pending_digest"},
+        {SectionId::Clients, 8, "client0.generated"},
+        {SectionId::Dispatcher, 0, "started"},
+        // After the u32-length-prefixed model name "constant".
+        {SectionId::Network, 12, "transfers"},
+        {SectionId::Disks, 0, "disks"},
+        {SectionId::Faults, 0, "crashes"},
+        {SectionId::Stats, 0, "measured_completions"},
+    };
+    for (const Case& c : cases) {
+        std::vector<std::uint8_t> changed = image;
+        bumpFieldAndReseal(changed, c.section, c.offset);
+        const std::string bad = dir + "/" + c.field + ".uqsnap";
+        std::ofstream(bad, std::ios::binary)
+            .write(reinterpret_cast<const char*>(changed.data()),
+                   static_cast<std::streamsize>(changed.size()));
+        auto restored = Simulation::fromBundle(faultyBundle(7));
+        try {
+            snapshot::restoreFromSnapshot(*restored, bad);
+            ADD_FAILURE() << c.field << ": change not detected";
+        } catch (const SnapshotStateError& error) {
+            const std::string what = error.what();
+            EXPECT_NE(what.find(snapshot::sectionName(c.section)),
+                      std::string::npos)
+                << what;
+            EXPECT_NE(what.find("'" + std::string(c.field) + "'"),
+                      std::string::npos)
+                << what;
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // Crash recovery: discovery, retention, abort ordering
 
 TEST(CheckpointRecovery, NewestValidSnapshotSkipsCorruptFiles)
