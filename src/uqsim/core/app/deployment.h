@@ -39,8 +39,7 @@
 namespace uqsim {
 
 namespace snapshot {
-class SnapshotWriter;
-class SnapshotReader;
+class StateVisitor;
 }  // namespace snapshot
 
 /** How a service's instances are selected for new requests. */
@@ -175,17 +174,13 @@ class Deployment {
     const fault::AdmissionConfig* admission(std::uint32_t service_id) const;
 
     /**
-     * Serializes the deployment's mutable routing state into the
-     * open snapshot section: connection-id allocator position,
+     * Visits the deployment's mutable routing state as
+     * "deployment.*" fields: connection-id allocator position,
      * per-service round-robin cursors, and every connection pool's
      * occupancy (free ids in hand-out order, waiter count,
      * high-water mark), pools in sorted-key order.
      */
-    void saveState(snapshot::SnapshotWriter& writer) const;
-
-    /** Validates the live (replayed) state against saveState()'s
-     *  fields; throws SnapshotStateError on divergence. */
-    void loadState(snapshot::SnapshotReader& reader) const;
+    void visitState(snapshot::StateVisitor& visitor) const;
 
   private:
     struct ServiceEntry {

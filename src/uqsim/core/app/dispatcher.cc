@@ -4,7 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "uqsim/snapshot/state_io.h"
+#include "uqsim/snapshot/snapshot.h"
 
 namespace uqsim {
 
@@ -1022,51 +1022,27 @@ Dispatcher::activeStateDigest() const
 }
 
 void
-Dispatcher::saveState(snapshot::SnapshotWriter& writer) const
+Dispatcher::visitState(snapshot::StateVisitor& visitor) const
 {
-    writer.beginSection(snapshot::SectionId::Dispatcher);
-    writer.putU64(started_);
-    writer.putU64(completed_);
-    writer.putU64(failed_);
-    writer.putU64(shed_);
-    writer.putU64(retriesSent_);
-    writer.putU64(hedgesSent_);
-    writer.putU64(leakedBlocks_);
-    writer.putU64(leakedHops_);
-    writer.putU64(jobs_.created());
-    writer.putU64(jobs_.liveJobs());
-    snapshot::putRngState(writer, rng_.state());
-    snapshot::putRngState(writer, retryRng_.state());
-    writer.putU64(roots_.size());
-    writer.putU64(deadJobs_.size());
-    writer.putU64(edges_.size());
-    writer.putU64(activeStateDigest());
-    deployment_.saveState(writer);
-    writer.endSection();
-}
-
-void
-Dispatcher::loadState(snapshot::SnapshotReader& reader) const
-{
-    reader.openSection(snapshot::SectionId::Dispatcher);
-    reader.requireU64("started", started_);
-    reader.requireU64("completed", completed_);
-    reader.requireU64("failed", failed_);
-    reader.requireU64("shed", shed_);
-    reader.requireU64("retries_sent", retriesSent_);
-    reader.requireU64("hedges_sent", hedgesSent_);
-    reader.requireU64("leaked_blocks", leakedBlocks_);
-    reader.requireU64("leaked_hops", leakedHops_);
-    reader.requireU64("jobs_created", jobs_.created());
-    reader.requireU64("jobs_live", jobs_.liveJobs());
-    snapshot::requireRngState(reader, "rng", rng_.state());
-    snapshot::requireRngState(reader, "retry_rng", retryRng_.state());
-    reader.requireU64("active_roots", roots_.size());
-    reader.requireU64("dead_jobs", deadJobs_.size());
-    reader.requireU64("edges", edges_.size());
-    reader.requireU64("active_state_digest", activeStateDigest());
-    deployment_.loadState(reader);
-    reader.closeSection();
+    visitor.beginSection(snapshot::SectionId::Dispatcher);
+    visitor.u64("started", started_);
+    visitor.u64("completed", completed_);
+    visitor.u64("failed", failed_);
+    visitor.u64("shed", shed_);
+    visitor.u64("retries_sent", retriesSent_);
+    visitor.u64("hedges_sent", hedgesSent_);
+    visitor.u64("leaked_blocks", leakedBlocks_);
+    visitor.u64("leaked_hops", leakedHops_);
+    visitor.u64("jobs_created", jobs_.created());
+    visitor.u64("jobs_live", jobs_.liveJobs());
+    visitor.rng("rng", rng_.state());
+    visitor.rng("retry_rng", retryRng_.state());
+    visitor.u64("active_roots", roots_.size());
+    visitor.u64("dead_jobs", deadJobs_.size());
+    visitor.u64("edges", edges_.size());
+    visitor.u64("active_state_digest", activeStateDigest());
+    deployment_.visitState(visitor);
+    visitor.endSection();
 }
 
 }  // namespace uqsim

@@ -157,16 +157,12 @@ class Dispatcher {
     std::uint64_t leakedHops() const { return leakedHops_; }
 
     /**
-     * Writes the DISPATCHER snapshot section: request counters, RNG
+     * Visits the DISPATCHER snapshot section: request counters, RNG
      * positions, deterministic folds of the active-root map, dead-job
      * set, per-edge breaker + latency state, per-tier fault counters,
      * and the deployment's pool/cursor state (snapshot.h).
      */
-    void saveState(snapshot::SnapshotWriter& writer) const;
-
-    /** Validates the live (replayed) state against a snapshot's
-     *  DISPATCHER section; throws SnapshotStateError on divergence. */
-    void loadState(snapshot::SnapshotReader& reader) const;
+    void visitState(snapshot::StateVisitor& visitor) const;
 
   private:
     struct ForwardHop {

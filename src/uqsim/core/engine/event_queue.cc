@@ -201,9 +201,15 @@ EventQueue::pendingStateHash() const
     return h;
 }
 
-std::uint64_t
-EventQueue::pendingDigest() const
+void
+EventQueue::visitState(snapshot::StateVisitor& visitor) const
 {
+    const snapshot::StateVisitor::Scope scope(visitor, "queue");
+    visitor.u64("next_sequence", nextSequence_);
+    visitor.u64("pending", heap_.size());
+    visitor.u64("free_slots", freeList_.size());
+    visitor.u64("pool_capacity", poolCapacity());
+
     // Sorted (when, sequence) order — NOT heap layout order, which
     // depends on the insertion/removal history in ways the replayed
     // queue reproduces anyway but that would make the digest fragile
@@ -218,49 +224,23 @@ EventQueue::pendingDigest() const
               [](const HeapEntry* a, const HeapEntry* b) {
                   return a->before(*b);
               });
-    snapshot::Digest digest;
+    snapshot::Digest pending;
     for (const HeapEntry* entry : sorted) {
-        digest.i64(entry->when);
-        digest.u64(entry->sequence);
-        digest.str(slotPtr(entry->slot)->label);
+        pending.i64(entry->when);
+        pending.u64(entry->sequence);
+        pending.str(slotPtr(entry->slot)->label);
     }
-    return digest.value();
-}
+    visitor.u64("pending_digest", pending.value());
 
-std::uint64_t
-EventQueue::generationDigest() const
-{
     // Slot-index order: slot allocation is deterministic under
     // replay, so generation counters (and with them every live
     // EventHandle's validity) replay exactly.
-    snapshot::Digest digest;
+    snapshot::Digest generations;
     for (std::uint32_t index = 0;
          index < static_cast<std::uint32_t>(poolCapacity()); ++index) {
-        digest.u32(slotPtr(index)->generation);
+        generations.u32(slotPtr(index)->generation);
     }
-    return digest.value();
-}
-
-void
-EventQueue::saveState(snapshot::SnapshotWriter& writer) const
-{
-    writer.putU64(nextSequence_);
-    writer.putU64(heap_.size());
-    writer.putU64(freeList_.size());
-    writer.putU64(poolCapacity());
-    writer.putU64(pendingDigest());
-    writer.putU64(generationDigest());
-}
-
-void
-EventQueue::loadState(snapshot::SnapshotReader& reader) const
-{
-    reader.requireU64("queue.next_sequence", nextSequence_);
-    reader.requireU64("queue.pending", heap_.size());
-    reader.requireU64("queue.free_slots", freeList_.size());
-    reader.requireU64("queue.pool_capacity", poolCapacity());
-    reader.requireU64("queue.pending_digest", pendingDigest());
-    reader.requireU64("queue.generation_digest", generationDigest());
+    visitor.u64("generation_digest", generations.value());
 }
 
 void

@@ -32,8 +32,7 @@
 namespace uqsim {
 
 namespace snapshot {
-class SnapshotWriter;
-class SnapshotReader;
+class StateVisitor;
 }  // namespace snapshot
 
 /** Pooled min-heap of events with O(log n) cancellation. */
@@ -199,19 +198,15 @@ class EventQueue {
     // Snapshot support (snapshot.h) ---------------------------------
 
     /**
-     * Serializes the queue's bookkeeping into the open snapshot
-     * section: sequence counter, heap/pool/free-list sizes, and two
-     * deterministic digests — the pending multiset in sorted (when,
-     * sequence, label) order and the per-slot generation counters in
-     * slot order.  Events themselves are closures and are *not*
-     * written; restore replays them (see snapshot.h).  Must be
-     * called between events.
+     * Visits the queue's bookkeeping as "queue.*" fields: sequence
+     * counter, heap/pool/free-list sizes, and two deterministic
+     * digests — the pending multiset in sorted (when, sequence,
+     * label) order and the per-slot generation counters in slot
+     * order.  Events themselves are closures and are *not* visited;
+     * restore replays them (see snapshot.h).  Must be called between
+     * events.
      */
-    void saveState(snapshot::SnapshotWriter& writer) const;
-
-    /** Validates the live (replayed) queue against saveState()'s
-     *  fields; throws SnapshotStateError on divergence. */
-    void loadState(snapshot::SnapshotReader& reader) const;
+    void visitState(snapshot::StateVisitor& visitor) const;
 
     // Used by EventHandle -------------------------------------------
 
@@ -292,12 +287,6 @@ class EventQueue {
 
     std::uint32_t acquireSlot();
     void releaseSlot(std::uint32_t index);
-
-    /** Ordered fold over the pending multiset (snapshot digest). */
-    std::uint64_t pendingDigest() const;
-    /** Fold over per-slot generations in slot order (snapshot
-     *  digest; pins handle-generation state). */
-    std::uint64_t generationDigest() const;
 
     void heapPush(std::uint32_t slot, SimTime when,
                   std::uint64_t sequence);

@@ -114,27 +114,15 @@ Simulator::popChosen()
 }
 
 void
-Simulator::saveState(snapshot::SnapshotWriter& writer) const
+Simulator::visitState(snapshot::StateVisitor& visitor) const
 {
-    writer.beginSection(snapshot::SectionId::Engine);
-    writer.putI64(now_);
-    writer.putU64(masterSeed_);
-    writer.putU64(executedEvents_);
-    writer.putU64(traceDigest_);
-    queue_.saveState(writer);
-    writer.endSection();
-}
-
-void
-Simulator::loadState(snapshot::SnapshotReader& reader) const
-{
-    reader.openSection(snapshot::SectionId::Engine);
-    reader.requireI64("now", now_);
-    reader.requireU64("master_seed", masterSeed_);
-    reader.requireU64("executed_events", executedEvents_);
-    reader.requireU64("trace_digest", traceDigest_);
-    queue_.loadState(reader);
-    reader.closeSection();
+    visitor.beginSection(snapshot::SectionId::Engine);
+    visitor.i64("now", now_);
+    visitor.u64("master_seed", masterSeed_);
+    visitor.u64("executed_events", executedEvents_);
+    visitor.u64("trace_digest", traceDigest_);
+    queue_.visitState(visitor);
+    visitor.endSection();
 }
 
 audit::AuditReport

@@ -368,53 +368,7 @@ Simulation::saveState(snapshot::SnapshotWriter& writer) const
     if (!finalized())
         throw std::logic_error("finalize() before saveState()");
     writer.setMeta(snapshotMeta());
-
-    sim_.saveState(writer);  // ENGINE
-
-    writer.beginSection(snapshot::SectionId::Clients);
-    writer.putU64(clients_.size());
-    for (const auto& client : clients_)
-        client->saveState(writer);
-    writer.endSection();
-
-    dispatcher_->saveState(writer);          // DISPATCHER
-    cluster_->network().saveState(writer);   // NETWORK
-
-    writer.beginSection(snapshot::SectionId::Disks);
-    std::uint64_t diskCount = 0;
-    for (const hw::Machine* machine : cluster_->machines())
-        diskCount += machine->disks().size();
-    writer.putU64(diskCount);
-    for (const hw::Machine* machine : cluster_->machines()) {
-        for (const auto& disk : machine->disks())
-            disk->saveState(writer);
-    }
-    writer.endSection();
-
-    // The FAULTS section exists exactly when the run has a fault
-    // plan; restore rebuilds from the same config, so presence is
-    // symmetric by construction.
-    if (faultScheduler_)
-        faultScheduler_->saveState(writer);
-
-    writer.beginSection(snapshot::SectionId::Stats);
-    writer.putU64(measuredCompletions_);
-    writer.putU64(measuredGenerated_);
-    writer.putU64(measuredFailed_);
-    writer.putU64(endToEnd_.count());
-    snapshot::Digest e2e;
-    for (double value : endToEnd_.values())
-        e2e.f64(value);
-    writer.putU64(e2e.value());
-    writer.putU64(tiersById_.size());
-    snapshot::Digest tiers;
-    for (const stats::PercentileRecorder& tier : tiersById_) {
-        tiers.u64(tier.count());
-        for (double value : tier.values())
-            tiers.f64(value);
-    }
-    writer.putU64(tiers.value());
-    writer.endSection();
+    visitState(writer);
 }
 
 void
@@ -422,55 +376,65 @@ Simulation::loadState(snapshot::SnapshotReader& reader) const
 {
     if (!finalized())
         throw std::logic_error("finalize() before loadState()");
+    visitState(reader);
+}
 
-    sim_.loadState(reader);  // ENGINE
+void
+Simulation::visitState(snapshot::StateVisitor& visitor) const
+{
+    sim_.visitState(visitor);  // ENGINE
 
-    reader.openSection(snapshot::SectionId::Clients);
-    reader.requireU64("clients", clients_.size());
+    visitor.beginSection(snapshot::SectionId::Clients);
+    visitor.u64("clients", clients_.size());
     for (std::size_t i = 0; i < clients_.size(); ++i) {
-        clients_[i]->loadState(reader,
-                               "client" + std::to_string(i));
+        const snapshot::StateVisitor::Scope scope(
+            visitor, "client" + std::to_string(i));
+        clients_[i]->visitState(visitor);
     }
-    reader.closeSection();
+    visitor.endSection();
 
-    dispatcher_->loadState(reader);          // DISPATCHER
-    cluster_->network().loadState(reader);   // NETWORK
+    dispatcher_->visitState(visitor);          // DISPATCHER
+    cluster_->network().visitState(visitor);   // NETWORK
 
-    reader.openSection(snapshot::SectionId::Disks);
+    visitor.beginSection(snapshot::SectionId::Disks);
     std::uint64_t diskCount = 0;
     for (const hw::Machine* machine : cluster_->machines())
         diskCount += machine->disks().size();
-    reader.requireU64("disks", diskCount);
+    visitor.u64("disks", diskCount);
     std::size_t diskIndex = 0;
     for (const hw::Machine* machine : cluster_->machines()) {
         for (const auto& disk : machine->disks()) {
-            disk->loadState(
-                reader, "disk" + std::to_string(diskIndex++));
+            const snapshot::StateVisitor::Scope scope(
+                visitor, "disk" + std::to_string(diskIndex++));
+            disk->visitState(visitor);
         }
     }
-    reader.closeSection();
+    visitor.endSection();
 
+    // The FAULTS section exists exactly when the run has a fault
+    // plan; restore rebuilds from the same config, so presence is
+    // symmetric by construction.
     if (faultScheduler_)
-        faultScheduler_->loadState(reader);
+        faultScheduler_->visitState(visitor);
 
-    reader.openSection(snapshot::SectionId::Stats);
-    reader.requireU64("measured_completions", measuredCompletions_);
-    reader.requireU64("measured_generated", measuredGenerated_);
-    reader.requireU64("measured_failed", measuredFailed_);
-    reader.requireU64("end_to_end", endToEnd_.count());
+    visitor.beginSection(snapshot::SectionId::Stats);
+    visitor.u64("measured_completions", measuredCompletions_);
+    visitor.u64("measured_generated", measuredGenerated_);
+    visitor.u64("measured_failed", measuredFailed_);
+    visitor.u64("end_to_end", endToEnd_.count());
     snapshot::Digest e2e;
     for (double value : endToEnd_.values())
         e2e.f64(value);
-    reader.requireU64("end_to_end_digest", e2e.value());
-    reader.requireU64("tiers", tiersById_.size());
+    visitor.u64("end_to_end_digest", e2e.value());
+    visitor.u64("tiers", tiersById_.size());
     snapshot::Digest tiers;
     for (const stats::PercentileRecorder& tier : tiersById_) {
         tiers.u64(tier.count());
         for (double value : tier.values())
             tiers.f64(value);
     }
-    reader.requireU64("tier_digest", tiers.value());
-    reader.closeSection();
+    visitor.u64("tier_digest", tiers.value());
+    visitor.endSection();
 }
 
 namespace {

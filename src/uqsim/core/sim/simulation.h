@@ -35,7 +35,6 @@
 #include "uqsim/hw/cluster.h"
 #include "uqsim/snapshot/snapshot.h"
 #include "uqsim/stats/percentile_recorder.h"
-#include "uqsim/stats/throughput_meter.h"
 #include "uqsim/workload/client.h"
 
 namespace uqsim {
@@ -233,6 +232,9 @@ class Simulation {
     std::uint64_t computeConfigDigest() const;
     /** Shared guard for the segmented-run entry points. */
     void checkAdvance() const;
+    /** The one walk over every layer's snapshot state, section by
+     *  section (saveState writes it, loadState validates it). */
+    void visitState(snapshot::StateVisitor& visitor) const;
 };
 
 }  // namespace uqsim

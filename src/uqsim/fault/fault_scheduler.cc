@@ -6,7 +6,7 @@
 
 #include "uqsim/hw/cluster.h"
 #include "uqsim/json/validation.h"
-#include "uqsim/snapshot/state_io.h"
+#include "uqsim/snapshot/snapshot.h"
 
 namespace uqsim {
 namespace fault {
@@ -414,37 +414,24 @@ FaultScheduler::crash(MicroserviceInstance& target)
 }
 
 void
-FaultScheduler::saveState(snapshot::SnapshotWriter& writer) const
+FaultScheduler::visitState(snapshot::StateVisitor& visitor) const
 {
-    writer.beginSection(snapshot::SectionId::Faults);
-    writer.putU64(crashes_);
-    writer.putI64(horizon_);
-    writer.putU64(plan_.faults.size());
-    writer.putU64(streams_.size());
+    visitor.beginSection(snapshot::SectionId::Faults);
+    visitor.u64("crashes", crashes_);
+    visitor.i64("horizon", horizon_);
+    visitor.u64("plan_size", plan_.faults.size());
+    visitor.u64("streams", streams_.size());
     snapshot::Digest streams;
     for (const auto& stream : streams_) {
+        const random::Rng::State state = stream->state();
         streams.str(stream->label());
-        snapshot::digestRngState(streams, stream->state());
+        for (const std::uint64_t word : state.words)
+            streams.u64(word);
+        streams.boolean(state.hasSpareGaussian);
+        streams.f64(state.spareGaussian);
     }
-    writer.putU64(streams.value());
-    writer.endSection();
-}
-
-void
-FaultScheduler::loadState(snapshot::SnapshotReader& reader) const
-{
-    reader.openSection(snapshot::SectionId::Faults);
-    reader.requireU64("crashes", crashes_);
-    reader.requireI64("horizon", horizon_);
-    reader.requireU64("plan_size", plan_.faults.size());
-    reader.requireU64("streams", streams_.size());
-    snapshot::Digest streams;
-    for (const auto& stream : streams_) {
-        streams.str(stream->label());
-        snapshot::digestRngState(streams, stream->state());
-    }
-    reader.requireU64("stream_digest", streams.value());
-    reader.closeSection();
+    visitor.u64("stream_digest", streams.value());
+    visitor.endSection();
 }
 
 }  // namespace fault

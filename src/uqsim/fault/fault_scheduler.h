@@ -56,16 +56,12 @@ class FaultScheduler {
     std::uint64_t crashesInjected() const { return crashes_; }
 
     /**
-     * Writes the FAULTS snapshot section: injected-crash counter,
+     * Visits the FAULTS snapshot section: injected-crash counter,
      * horizon, and every stochastic timeline stream's RNG position
      * (streams are created in plan order at start(), so the order is
      * deterministic).
      */
-    void saveState(snapshot::SnapshotWriter& writer) const;
-
-    /** Validates the live (replayed) state against a snapshot's
-     *  FAULTS section; throws SnapshotStateError on divergence. */
-    void loadState(snapshot::SnapshotReader& reader) const;
+    void visitState(snapshot::StateVisitor& visitor) const;
 
   private:
     /** Instances matching a spec's instance/service target. */

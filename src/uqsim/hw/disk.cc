@@ -174,78 +174,38 @@ Disk::utilization(SimTime now) const
     return busy / static_cast<double>(now);
 }
 
-namespace {
-
-template <typename Op>
 void
-digestOp(uqsim::snapshot::Digest& digest, std::uint64_t id,
-         const Op& op)
+Disk::visitState(snapshot::StateVisitor& visitor) const
 {
-    digest.u64(id);
-    digest.u32(op.kind == Disk::OpKind::Read ? 0 : 1);
-    digest.u64(op.sizeBytes);
-    digest.f64(op.remainingBytes);
-    digest.f64(op.rate);
-    digest.f64(op.tailLatency);
-    digest.str(op.label);
-}
-
-}  // namespace
-
-void
-Disk::saveState(snapshot::SnapshotWriter& writer) const
-{
-    writer.putString(label_);
-    writer.putU64(submitted_);
-    writer.putU64(readsCompleted_);
-    writer.putU64(writesCompleted_);
-    writer.putU64(bytesRead_);
-    writer.putU64(bytesWritten_);
-    writer.putU64(queuedOps_);
-    writer.putU64(peakQueued_);
-    writer.putU64(reshares_);
-    writer.putU64(nextOpId_);
-    writer.putI64(lastUpdate_);
-    writer.putF64(busyTicks_);
-    writer.putU64(inService_.size());
-    writer.putU64(waiting_.size());
+    visitor.str("label", label_);
+    visitor.u64("submitted", submitted_);
+    visitor.u64("reads_completed", readsCompleted_);
+    visitor.u64("writes_completed", writesCompleted_);
+    visitor.u64("bytes_read", bytesRead_);
+    visitor.u64("bytes_written", bytesWritten_);
+    visitor.u64("queued_ops", queuedOps_);
+    visitor.u64("peak_queued", peakQueued_);
+    visitor.u64("reshares", reshares_);
+    visitor.u64("next_op_id", nextOpId_);
+    visitor.i64("last_update", lastUpdate_);
+    visitor.f64("busy_ticks", busyTicks_);
+    visitor.u64("in_service", inService_.size());
+    visitor.u64("waiting", waiting_.size());
     snapshot::Digest ops;
-    for (const auto& [id, op] : inService_)
-        digestOp(ops, id, op);
-    for (const auto& [id, op] : waiting_)
-        digestOp(ops, id, op);
-    writer.putU64(ops.value());
-}
-
-void
-Disk::loadState(snapshot::SnapshotReader& reader,
-                const std::string& name) const
-{
-    const auto field = [&name](const char* suffix) {
-        return name + "." + suffix;
+    const auto fold = [&ops](std::uint64_t id, const Op& op) {
+        ops.u64(id);
+        ops.u32(op.kind == OpKind::Read ? 0 : 1);
+        ops.u64(op.sizeBytes);
+        ops.f64(op.remainingBytes);
+        ops.f64(op.rate);
+        ops.f64(op.tailLatency);
+        ops.str(op.label);
     };
-    reader.requireString(field("label").c_str(), label_);
-    reader.requireU64(field("submitted").c_str(), submitted_);
-    reader.requireU64(field("reads_completed").c_str(),
-                      readsCompleted_);
-    reader.requireU64(field("writes_completed").c_str(),
-                      writesCompleted_);
-    reader.requireU64(field("bytes_read").c_str(), bytesRead_);
-    reader.requireU64(field("bytes_written").c_str(), bytesWritten_);
-    reader.requireU64(field("queued_ops").c_str(), queuedOps_);
-    reader.requireU64(field("peak_queued").c_str(), peakQueued_);
-    reader.requireU64(field("reshares").c_str(), reshares_);
-    reader.requireU64(field("next_op_id").c_str(), nextOpId_);
-    reader.requireI64(field("last_update").c_str(), lastUpdate_);
-    reader.requireF64(field("busy_ticks").c_str(), busyTicks_);
-    reader.requireU64(field("in_service").c_str(), inService_.size());
-    reader.requireU64(field("waiting").c_str(), waiting_.size());
-    snapshot::Digest ops;
     for (const auto& [id, op] : inService_)
-        digestOp(ops, id, op);
+        fold(id, op);
     for (const auto& [id, op] : waiting_)
-        digestOp(ops, id, op);
-    reader.requireU64(field("op_digest").c_str(), ops.value());
+        fold(id, op);
+    visitor.u64("op_digest", ops.value());
 }
 
 }  // namespace hw

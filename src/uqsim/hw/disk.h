@@ -110,16 +110,11 @@ class Disk {
     double utilization(SimTime now) const;
 
     /**
-     * Serializes this disk's state into the open DISKS snapshot
-     * section: counters, busy integral, and deterministic folds of
-     * the in-service map (id order) and waiting FIFO.
+     * Visits this disk's state in the open DISKS snapshot section:
+     * counters, busy integral, and one deterministic fold of the
+     * in-service map (id order) then the waiting FIFO.
      */
-    void saveState(snapshot::SnapshotWriter& writer) const;
-
-    /** Validates the live (replayed) state against saveState()'s
-     *  fields; @p name prefixes field names in error messages. */
-    void loadState(snapshot::SnapshotReader& reader,
-                   const std::string& name) const;
+    void visitState(snapshot::StateVisitor& visitor) const;
 
   private:
     struct Op {

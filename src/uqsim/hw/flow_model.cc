@@ -691,19 +691,27 @@ FlowModel::activeFlowRates() const
     return rates;
 }
 
-namespace {
-
-/** Deterministic fold of a FlowModel's dynamic state: active flows
- *  in id order, per-link fault state, partition map, and sticky
- *  failover picks. */
-template <typename FlowMap, typename LinkStates, typename Partition,
-          typename Picks>
-std::uint64_t
-flowStateDigest(const FlowMap& flows, const LinkStates& linkStates,
-                const Partition& partitionOf, const Picks& picks)
+void
+FlowModel::visitState(snapshot::StateVisitor& visitor) const
 {
+    const snapshot::StateVisitor::Scope scope(visitor, "flow");
+    visitor.u64("started", started_);
+    visitor.u64("finished", finished_);
+    visitor.u64("reshares", reshares_);
+    visitor.u64("failovers", failovers_);
+    visitor.u64("unreachable", unreachable_);
+    visitor.u64("link_drops", linkDrops_);
+    visitor.u64("next_flow_id", nextFlowId_);
+    visitor.i64("last_update", lastUpdate_);
+    visitor.i64("down_links", downLinkCount_);
+    visitor.boolean("partition_active", partitionActive_);
+    visitor.u64("active_flows", flows_.size());
+    visitor.u64("failover_picks", failoverPicks_.size());
+
+    // Active flows in id order, per-link fault state, partition map,
+    // and sticky failover picks.
     snapshot::Digest digest;
-    for (const auto& [id, flow] : flows) {
+    for (const auto& [id, flow] : flows_) {
         digest.u64(id);
         digest.f64(flow.remainingBytes);
         digest.f64(flow.rate);
@@ -711,7 +719,7 @@ flowStateDigest(const FlowMap& flows, const LinkStates& linkStates,
         digest.str(flow.label);
         digest.boolean(flow.completion.pending());
     }
-    for (const auto& state : linkStates) {
+    for (const auto& state : linkStates_) {
         digest.i64(state.downCount);
         digest.f64(state.capacityFactor);
         digest.f64(state.latencyFactor);
@@ -719,9 +727,9 @@ flowStateDigest(const FlowMap& flows, const LinkStates& linkStates,
         digest.f64(state.downSecondsTotal);
         digest.u64(state.drops);
     }
-    for (const int group : partitionOf)
+    for (const int group : partitionOf_)
         digest.i64(group);
-    for (const auto& [pair, path] : picks) {
+    for (const auto& [pair, path] : failoverPicks_) {
         digest.i64(pair.first);
         digest.i64(pair.second);
         // The pick is a pointer into route storage; digest the
@@ -732,48 +740,7 @@ flowStateDigest(const FlowMap& flows, const LinkStates& linkStates,
                 digest.i64(link);
         }
     }
-    return digest.value();
-}
-
-}  // namespace
-
-void
-FlowModel::saveState(snapshot::SnapshotWriter& writer) const
-{
-    writer.putU64(started_);
-    writer.putU64(finished_);
-    writer.putU64(reshares_);
-    writer.putU64(failovers_);
-    writer.putU64(unreachable_);
-    writer.putU64(linkDrops_);
-    writer.putU64(nextFlowId_);
-    writer.putI64(lastUpdate_);
-    writer.putI64(downLinkCount_);
-    writer.putBool(partitionActive_);
-    writer.putU64(flows_.size());
-    writer.putU64(failoverPicks_.size());
-    writer.putU64(flowStateDigest(flows_, linkStates_, partitionOf_,
-                                  failoverPicks_));
-}
-
-void
-FlowModel::loadState(snapshot::SnapshotReader& reader) const
-{
-    reader.requireU64("flow.started", started_);
-    reader.requireU64("flow.finished", finished_);
-    reader.requireU64("flow.reshares", reshares_);
-    reader.requireU64("flow.failovers", failovers_);
-    reader.requireU64("flow.unreachable", unreachable_);
-    reader.requireU64("flow.link_drops", linkDrops_);
-    reader.requireU64("flow.next_flow_id", nextFlowId_);
-    reader.requireI64("flow.last_update", lastUpdate_);
-    reader.requireI64("flow.down_links", downLinkCount_);
-    reader.requireBool("flow.partition_active", partitionActive_);
-    reader.requireU64("flow.active_flows", flows_.size());
-    reader.requireU64("flow.failover_picks", failoverPicks_.size());
-    reader.requireU64("flow.state_digest",
-                      flowStateDigest(flows_, linkStates_,
-                                      partitionOf_, failoverPicks_));
+    visitor.u64("state_digest", digest.value());
 }
 
 }  // namespace hw

@@ -208,11 +208,11 @@ class FlowModel final : public NetworkModel {
                   double extraLatencySeconds, Callback done,
                   const char* label) override;
 
-    /** FlowModel state in the NETWORK section: flow counters,
-     *  per-link nested-down/degradation state, partition and sticky
-     *  failover-pick state, and an active-flow fold in id order. */
-    void saveState(snapshot::SnapshotWriter& writer) const override;
-    void loadState(snapshot::SnapshotReader& reader) const override;
+    /** FlowModel state in the NETWORK section as "flow.*" fields:
+     *  flow counters, per-link nested-down/degradation state,
+     *  partition and sticky failover-pick state, and an active-flow
+     *  fold in id order. */
+    void visitState(snapshot::StateVisitor& visitor) const override;
 
     // ------------------------------------------------ observability
 

@@ -2,7 +2,7 @@
 
 #include <utility>
 
-#include "uqsim/snapshot/state_io.h"
+#include "uqsim/snapshot/snapshot.h"
 
 namespace uqsim {
 namespace hw {
@@ -13,11 +13,6 @@ Network::Network(Simulator& sim, std::unique_ptr<NetworkModel> model)
       faultRng_(sim.masterSeed(), "network/faults")
 {
     model_->bind(sim_);
-}
-
-Network::Network(Simulator& sim, const NetworkConfig& config)
-    : Network(sim, ConstantModel::make(config))
-{
 }
 
 void
@@ -117,33 +112,18 @@ Network::deliver(Machine* to, std::uint32_t bytes, Callback done)
 }
 
 void
-Network::saveState(snapshot::SnapshotWriter& writer) const
+Network::visitState(snapshot::StateVisitor& visitor) const
 {
-    writer.beginSection(snapshot::SectionId::Network);
-    writer.putString(model_->modelName());
-    writer.putU64(transfers_);
-    writer.putU64(dropped_);
-    writer.putBool(degraded_);
-    writer.putF64(extraLatency_);
-    writer.putF64(lossProb_);
-    snapshot::putRngState(writer, faultRng_.state());
-    model_->saveState(writer);
-    writer.endSection();
-}
-
-void
-Network::loadState(snapshot::SnapshotReader& reader) const
-{
-    reader.openSection(snapshot::SectionId::Network);
-    reader.requireString("model", model_->modelName());
-    reader.requireU64("transfers", transfers_);
-    reader.requireU64("dropped", dropped_);
-    reader.requireBool("degraded", degraded_);
-    reader.requireF64("extra_latency", extraLatency_);
-    reader.requireF64("loss_prob", lossProb_);
-    snapshot::requireRngState(reader, "fault_rng", faultRng_.state());
-    model_->loadState(reader);
-    reader.closeSection();
+    visitor.beginSection(snapshot::SectionId::Network);
+    visitor.str("model", model_->modelName());
+    visitor.u64("transfers", transfers_);
+    visitor.u64("dropped", dropped_);
+    visitor.boolean("degraded", degraded_);
+    visitor.f64("extra_latency", extraLatency_);
+    visitor.f64("loss_prob", lossProb_);
+    visitor.rng("fault_rng", faultRng_.state());
+    model_->visitState(visitor);
+    visitor.endSection();
 }
 
 }  // namespace hw

@@ -38,22 +38,12 @@
 namespace uqsim {
 namespace hw {
 
-/**
- * Deprecated (one release, see docs/FORMATS.md): construct the
- * model explicitly via ConstantModel::Config / ConstantModel::make()
- * instead of a free-floating latency pair.
- */
-using NetworkConfig = ConstantModel::Config;
-
 /** Message transport between machines. */
 class Network {
   public:
     /** Takes ownership of @p model; nullptr selects a default
      *  ConstantModel. */
     Network(Simulator& sim, std::unique_ptr<NetworkModel> model);
-
-    /** Deprecated shim: a ConstantModel built from @p config. */
-    Network(Simulator& sim, const NetworkConfig& config);
 
     /**
      * Moves a message of @p bytes from @p from to @p to, then calls
@@ -83,15 +73,11 @@ class Network {
     std::uint64_t droppedMessages() const { return dropped_; }
 
     /**
-     * Writes the NETWORK snapshot section: façade counters,
+     * Visits the NETWORK snapshot section: façade counters,
      * degradation-window state, loss-stream RNG position, and the
-     * model's own state (NetworkModel::saveState).
+     * model's own state (NetworkModel::visitState).
      */
-    void saveState(snapshot::SnapshotWriter& writer) const;
-
-    /** Validates the live (replayed) state against a snapshot's
-     *  NETWORK section; throws SnapshotStateError on divergence. */
-    void loadState(snapshot::SnapshotReader& reader) const;
+    void visitState(snapshot::StateVisitor& visitor) const;
 
   private:
     void deliver(Machine* to, std::uint32_t bytes, Callback done);

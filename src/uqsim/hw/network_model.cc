@@ -29,15 +29,9 @@ NetworkModel::onMachineAdded(const Machine& machine)
 }
 
 void
-NetworkModel::saveState(snapshot::SnapshotWriter& writer) const
+NetworkModel::visitState(snapshot::StateVisitor& visitor) const
 {
-    (void)writer;
-}
-
-void
-NetworkModel::loadState(snapshot::SnapshotReader& reader) const
-{
-    (void)reader;
+    (void)visitor;
 }
 
 ConstantModel::ConstantModel() : ConstantModel(Config{})

@@ -103,16 +103,12 @@ class NetworkModel {
                           const char* label) = 0;
 
     /**
-     * Serializes model-specific state into the open NETWORK snapshot
-     * section (snapshot.h).  The default writes nothing — correct
+     * Visits model-specific state in the open NETWORK snapshot
+     * section (snapshot.h).  The default visits nothing — correct
      * for stateless models like ConstantModel, whose in-flight
      * messages live entirely in the engine's event queue.
      */
-    virtual void saveState(snapshot::SnapshotWriter& writer) const;
-
-    /** Validates live model state against saveState()'s fields; the
-     *  default reads nothing. */
-    virtual void loadState(snapshot::SnapshotReader& reader) const;
+    virtual void visitState(snapshot::StateVisitor& visitor) const;
 };
 
 /**
@@ -121,8 +117,7 @@ class NetworkModel {
  */
 class ConstantModel final : public NetworkModel {
   public:
-    /** Model parameters; the factory-style replacement for the
-     *  deprecated free-floating hw::NetworkConfig (docs/FORMATS.md). */
+    /** Model parameters. */
     struct Config {
         /** One-way wire latency between distinct machines (seconds). */
         double wireLatency = 20e-6;

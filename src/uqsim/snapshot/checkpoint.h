@@ -139,7 +139,8 @@ class CheckpointManager {
  * be freshly finalized (zero executed events) from the *identical*
  * configuration.  Verifies the config digest and master seed against
  * the snapshot meta, replays to the pinned event count, verifies the
- * trace digest, then validates every layer via loadState().  In
+ * trace digest, then validates every layer's visitState() walk
+ * against its section (Simulation::loadState).  In
  * audit mode (UQSIM_AUDIT) a full post-restore invariant pass runs
  * on top.  On success the simulation stands exactly where the
  * checkpointed run stood and can be continued with advance* /

@@ -155,6 +155,31 @@ Digest::str(std::string_view text)
     hash_ = (h ^ 0xFF) * kFnvPrime;
 }
 
+// -------------------------------------------------------- StateVisitor
+
+void
+StateVisitor::rng(const char* name, const random::Rng::State& state)
+{
+    static const char* const kWords[4] = {"word0", "word1", "word2",
+                                          "word3"};
+    const Scope scope(*this, name);
+    for (int i = 0; i < 4; ++i)
+        u64(kWords[i], state.words[i]);
+    boolean("has_spare_gaussian", state.hasSpareGaussian);
+    f64("spare_gaussian", state.spareGaussian);
+}
+
+StateVisitor::Scope::Scope(StateVisitor& visitor, std::string_view name)
+    : visitor_(visitor), outer_(visitor.prefix_.size())
+{
+    visitor_.prefix_.append(name).push_back('.');
+}
+
+StateVisitor::Scope::~Scope()
+{
+    visitor_.prefix_.resize(outer_);
+}
+
 // ------------------------------------------------------ SnapshotWriter
 
 void
@@ -512,14 +537,6 @@ void
 SnapshotReader::requireU64(const char* field, std::uint64_t live)
 {
     const std::uint64_t stored = getU64(field);
-    if (stored != live)
-        mismatch(field, std::to_string(stored), std::to_string(live));
-}
-
-void
-SnapshotReader::requireU32(const char* field, std::uint32_t live)
-{
-    const std::uint32_t stored = getU32(field);
     if (stored != live)
         mismatch(field, std::to_string(stored), std::to_string(live));
 }

@@ -20,7 +20,8 @@
  * re-materialized from bytes.  Instead the restorer rebuilds the
  * simulation from the identical configuration, replays
  * deterministically to the pinned event count, and then *validates*
- * every layer's live state against its section field by field.  Any
+ * every layer's live state against its section field by field, with
+ * the same per-layer StateVisitor walk that wrote it.  Any
  * divergence — config drift, nondeterminism, corruption that slipped
  * past the checksums — is a hard SnapshotStateError naming the
  * section, the field, and both values.
@@ -38,6 +39,8 @@
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "uqsim/random/rng.h"
 
 namespace uqsim {
 namespace snapshot {
@@ -112,6 +115,62 @@ class Digest {
     std::uint64_t hash_ = 0xCBF29CE484222325ULL;  // FNV offset basis
 };
 
+/**
+ * One walk over a layer's snapshot state.  Each stateful layer has a
+ * single `visitState(StateVisitor&) const` that visits its fields in
+ * format order, each under its field name, and never changes the
+ * simulated state.  A layer's snapshot state is exactly what that
+ * walk visits: SnapshotWriter implements the visitor by writing each
+ * value, SnapshotReader by requiring the stored value to equal the
+ * live one.  Adding, dropping, retyping or reordering a visited field
+ * changes the format and requires a kFormatVersion bump.
+ */
+class StateVisitor {
+  public:
+    virtual void beginSection(SectionId id) = 0;
+    virtual void endSection() = 0;
+
+    virtual void u64(const char* field, std::uint64_t value) = 0;
+    virtual void i64(const char* field, std::int64_t value) = 0;
+    /** Exact bit pattern, so floating-point state must replay to the
+     *  same representation. */
+    virtual void f64(const char* field, double value) = 0;
+    virtual void boolean(const char* field, bool value) = 0;
+    virtual void str(const char* field, std::string_view value) = 0;
+
+    /** A generator's full state (four state words plus the Gaussian
+     *  carry) as fields "<name>.word0".."<name>.spare_gaussian", so a
+     *  replay that drew one sample more or less names the stream. */
+    void rng(const char* name, const random::Rng::State& state);
+
+    /** Prefixes the field names visited during its lifetime with
+     *  "<name>."; scopes nest. */
+    class Scope {
+      public:
+        Scope(StateVisitor& visitor, std::string_view name);
+        ~Scope();
+        Scope(const Scope&) = delete;
+        Scope& operator=(const Scope&) = delete;
+
+      private:
+        StateVisitor& visitor_;
+        std::size_t outer_;
+    };
+
+  protected:
+    /** Visitors are used in place, never deleted through the base. */
+    ~StateVisitor() = default;
+
+    /** @p field under the open scopes, for error messages. */
+    std::string qualified(const char* field) const
+    {
+        return prefix_ + field;
+    }
+
+  private:
+    std::string prefix_;
+};
+
 /** Replay coordinates stored in the snapshot header. */
 struct SnapshotMeta {
     /** Simulation composition fingerprint
@@ -130,9 +189,11 @@ struct SnapshotMeta {
 /**
  * Builds a snapshot: set the meta, then for each layer
  * beginSection() / put fields / endSection(), then writeFile().
- * All integers are serialized little-endian at fixed width.
+ * All integers are serialized little-endian at fixed width.  As a
+ * StateVisitor it writes every visited value; field names are not
+ * stored.
  */
-class SnapshotWriter {
+class SnapshotWriter final : public StateVisitor {
   public:
     SnapshotWriter() = default;
 
@@ -141,8 +202,8 @@ class SnapshotWriter {
 
     /** Starts section @p id; throws std::logic_error on a duplicate
      *  id or an unclosed previous section. */
-    void beginSection(SectionId id);
-    void endSection();
+    void beginSection(SectionId id) override;
+    void endSection() override;
 
     void putU8(std::uint8_t value);
     void putU32(std::uint32_t value);
@@ -153,6 +214,15 @@ class SnapshotWriter {
     void putBool(bool value) { putU8(value ? 1 : 0); }
     /** u32 length + raw bytes. */
     void putString(std::string_view text);
+
+    void u64(const char*, std::uint64_t value) override { putU64(value); }
+    void i64(const char*, std::int64_t value) override { putI64(value); }
+    void f64(const char*, double value) override { putF64(value); }
+    void boolean(const char*, bool value) override { putBool(value); }
+    void str(const char*, std::string_view value) override
+    {
+        putString(value);
+    }
 
     /** Serializes header + section table + payloads + CRC footer. */
     std::vector<std::uint8_t> assemble() const;
@@ -178,12 +248,12 @@ class SnapshotWriter {
 
 /**
  * Parses and fully validates a snapshot, then hands out per-section
- * read cursors.  Layer loadState() implementations read fields in
- * write order and use the require* helpers to compare against live
- * state; a mismatch throws SnapshotStateError naming the section,
- * field, and both values.
+ * read cursors.  As a StateVisitor it reads each visited field in
+ * write order and requires it to equal the live value; a mismatch
+ * throws SnapshotStateError naming the section, the field, and both
+ * values.
  */
-class SnapshotReader {
+class SnapshotReader final : public StateVisitor {
   public:
     /** Reads and validates @p path (magic, version, section table,
      *  per-section and whole-file CRCs).
@@ -216,13 +286,35 @@ class SnapshotReader {
     // Validation helpers: read the stored value and require it to
     // equal @p live, else throw SnapshotStateError.
     void requireU64(const char* field, std::uint64_t live);
-    void requireU32(const char* field, std::uint32_t live);
     void requireI64(const char* field, std::int64_t live);
     /** Bitwise comparison (floating-point state must replay to the
      *  exact same representation). */
     void requireF64(const char* field, double live);
     void requireBool(const char* field, bool live);
     void requireString(const char* field, std::string_view live);
+
+    void beginSection(SectionId id) override { openSection(id); }
+    void endSection() override { closeSection(); }
+    void u64(const char* field, std::uint64_t live) override
+    {
+        requireU64(qualified(field).c_str(), live);
+    }
+    void i64(const char* field, std::int64_t live) override
+    {
+        requireI64(qualified(field).c_str(), live);
+    }
+    void f64(const char* field, double live) override
+    {
+        requireF64(qualified(field).c_str(), live);
+    }
+    void boolean(const char* field, bool live) override
+    {
+        requireBool(qualified(field).c_str(), live);
+    }
+    void str(const char* field, std::string_view live) override
+    {
+        requireString(qualified(field).c_str(), live);
+    }
 
   private:
     struct SectionView {

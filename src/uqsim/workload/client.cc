@@ -7,7 +7,7 @@
 #include "uqsim/json/validation.h"
 #include "uqsim/random/distribution_factory.h"
 #include "uqsim/random/distributions.h"
-#include "uqsim/snapshot/state_io.h"
+#include "uqsim/snapshot/snapshot.h"
 
 namespace uqsim {
 namespace workload {
@@ -108,19 +108,19 @@ Client::start()
 }
 
 void
-Client::saveState(snapshot::SnapshotWriter& writer) const
+Client::visitState(snapshot::StateVisitor& visitor) const
 {
-    writer.putU64(generated_);
-    writer.putU64(timeouts_);
-    writer.putU64(errors_);
-    writer.putU64(retriesIssued_);
-    writer.putU64(cursor_);
-    snapshot::putRngState(writer, rng_.state());
+    visitor.u64("generated", generated_);
+    visitor.u64("timeouts", timeouts_);
+    visitor.u64("errors", errors_);
+    visitor.u64("retries_issued", retriesIssued_);
+    visitor.u64("cursor", cursor_);
+    visitor.rng("rng", rng_.state());
     // Outstanding requests in JobId order: id, endpoint, retry
     // budget, and whether the timeout event is still pending.  The
     // handles themselves replay; the fold pins that the same requests
     // are in flight with the same budgets.
-    writer.putU64(outstanding_.size());
+    visitor.u64("outstanding", outstanding_.size());
     snapshot::Digest out;
     for (const auto& [root, state] : outstanding_) {
         out.u64(root);
@@ -128,50 +128,14 @@ Client::saveState(snapshot::SnapshotWriter& writer) const
         out.i64(state.retriesLeft);
         out.boolean(state.timeout.pending());
     }
-    writer.putU64(out.value());
-    writer.putU64(closedLoopEndpoints_.size());
+    visitor.u64("outstanding_digest", out.value());
+    visitor.u64("closed_loop", closedLoopEndpoints_.size());
     snapshot::Digest closed;
     for (const auto& [root, endpoint] : closedLoopEndpoints_) {
         closed.u64(root);
         closed.u64(endpoint);
     }
-    writer.putU64(closed.value());
-}
-
-void
-Client::loadState(snapshot::SnapshotReader& reader,
-                  const std::string& name) const
-{
-    const auto field = [&name](const char* suffix) {
-        return name + "." + suffix;
-    };
-    reader.requireU64(field("generated").c_str(), generated_);
-    reader.requireU64(field("timeouts").c_str(), timeouts_);
-    reader.requireU64(field("errors").c_str(), errors_);
-    reader.requireU64(field("retries_issued").c_str(),
-                      retriesIssued_);
-    reader.requireU64(field("cursor").c_str(), cursor_);
-    snapshot::requireRngState(reader, field("rng"), rng_.state());
-    reader.requireU64(field("outstanding").c_str(),
-                      outstanding_.size());
-    snapshot::Digest out;
-    for (const auto& [root, state] : outstanding_) {
-        out.u64(root);
-        out.u64(state.endpoint);
-        out.i64(state.retriesLeft);
-        out.boolean(state.timeout.pending());
-    }
-    reader.requireU64(field("outstanding_digest").c_str(),
-                      out.value());
-    reader.requireU64(field("closed_loop").c_str(),
-                      closedLoopEndpoints_.size());
-    snapshot::Digest closed;
-    for (const auto& [root, endpoint] : closedLoopEndpoints_) {
-        closed.u64(root);
-        closed.u64(endpoint);
-    }
-    reader.requireU64(field("closed_loop_digest").c_str(),
-                      closed.value());
+    visitor.u64("closed_loop_digest", closed.value());
 }
 
 void

@@ -24,8 +24,7 @@
 namespace uqsim {
 
 namespace snapshot {
-class SnapshotWriter;
-class SnapshotReader;
+class StateVisitor;
 }  // namespace snapshot
 
 namespace workload {
@@ -138,16 +137,11 @@ class Client {
     double currentOfferedLoad() const;
 
     /**
-     * Serializes this client's state into the open snapshot section:
+     * Visits this client's state in the open snapshot section:
      * counters, arrival cursor, RNG position, and deterministic folds
      * of the outstanding-request and closed-loop maps.
      */
-    void saveState(snapshot::SnapshotWriter& writer) const;
-
-    /** Validates the live (replayed) state against saveState()'s
-     *  fields; @p name prefixes field names in error messages. */
-    void loadState(snapshot::SnapshotReader& reader,
-                   const std::string& name) const;
+    void visitState(snapshot::StateVisitor& visitor) const;
 
     /**
      * Re-derives the arrival RNG from a different master seed
