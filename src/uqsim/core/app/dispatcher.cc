@@ -213,17 +213,7 @@ Dispatcher::startRequest(JobPtr job, MicroserviceInstance& front,
     if (root.requestBytes != 0)
         job->bytes = root.requestBytes;
     job->connectionId = client_conn;
-    const int node_id = variant.rootId;
-    const JobId root_id = job->rootId;
-    MicroserviceInstance* target = &front;
-    network_.transfer(nullptr, front.machine(), job->bytes,
-                      [this, job, node_id, target]() mutable {
-                          deliver(std::move(job), node_id, *target);
-                      },
-                      [this, root_id](hw::DropReason reason) {
-                          onEdgeDrop(root_id, reason,
-                                     NameInterner::kNone);
-                      });
+    sendFromClient(std::move(job), variant.rootId, front);
 }
 
 MicroserviceInstance&
@@ -276,7 +266,7 @@ Dispatcher::routeToNode(JobPtr job, int node_id,
         // no network, connection unchanged.
         sim_.scheduleAfter(
             0,
-            [this, job, node_id, t = &target]() mutable {
+            [this, job = std::move(job), node_id, t = &target]() mutable {
                 deliver(std::move(job), node_id, *t);
             },
             "dispatch/local");
@@ -305,16 +295,19 @@ Dispatcher::routeToNode(JobPtr job, int node_id,
         const ForwardHop hop = *hop_it;
         state.hops.erase(hop_it);
         job->connectionId = hop.conn;
+        const JobId root = job->rootId;
+        const std::uint32_t bytes = job->bytes;
         network_.transfer(
             from != nullptr ? from->machine() : nullptr,
-            target.machine(), job->bytes,
-            [this, job, node_id, t = &target, hop]() mutable {
+            target.machine(), bytes,
+            [this, job = std::move(job), node_id, t = &target,
+             hop]() mutable {
                 // Response received: the connection is free for the
                 // next request (HTTP/1.1 reuse).
                 hop.pool->release(hop.conn);
                 deliver(std::move(job), node_id, *t);
             },
-            [this, root = job->rootId, hop](hw::DropReason reason) {
+            [this, root, hop](hw::DropReason reason) {
                 // Response lost in transit; the connection still
                 // frees (it was past the pool when the hop record
                 // was erased above).
@@ -329,36 +322,56 @@ Dispatcher::routeToNode(JobPtr job, int node_id,
     if (from != nullptr) {
         ConnectionPool* pool = &deployment_.pool(*from, target);
         const JobId root = job->rootId;
-        pool->acquire([this, job, node_id, from, t = &target, pool,
-                       root](ConnectionId conn) mutable {
+        pool->acquire([this, job = std::move(job), node_id, from,
+                       t = &target, pool, root](ConnectionId conn) mutable {
             RootState* st = findRoot(root);
             if (st == nullptr) {
                 pool->release(conn);
                 return;
             }
             st->hops.push_back(ForwardHop{from, t, conn, pool});
-            job->connectionId = conn;
-            network_.transfer(
-                from->machine(), t->machine(), job->bytes,
-                [this, job, node_id, t]() mutable {
-                    deliver(std::move(job), node_id, *t);
-                },
-                [this, job, node_id](hw::DropReason reason) mutable {
-                    onTransferDropped(std::move(job), node_id, reason);
-                });
+            sendForward(std::move(job), conn, node_id, from, *t);
         });
         return;
     }
 
     // Hop from outside the cluster (no pool).
-    network_.transfer(nullptr, target.machine(), job->bytes,
-                      [this, job, node_id, t = &target]() mutable {
-                          deliver(std::move(job), node_id, *t);
-                      },
-                      [this, root = job->rootId](hw::DropReason reason) {
-                          onEdgeDrop(root, reason,
-                                     NameInterner::kNone);
-                      });
+    sendFromClient(std::move(job), node_id, target);
+}
+
+void
+Dispatcher::sendFromClient(JobPtr job, int node_id,
+                           MicroserviceInstance& target)
+{
+    const JobId root = job->rootId;
+    const std::uint32_t bytes = job->bytes;
+    network_.transfer(
+        nullptr, target.machine(), bytes,
+        [this, job = std::move(job), node_id, t = &target]() mutable {
+            deliver(std::move(job), node_id, *t);
+        },
+        [this, root](hw::DropReason reason) {
+            onEdgeDrop(root, reason, NameInterner::kNone);
+        });
+}
+
+void
+Dispatcher::sendForward(JobPtr job, ConnectionId conn, int node_id,
+                        MicroserviceInstance* from,
+                        MicroserviceInstance& target)
+{
+    job->connectionId = conn;
+    const JobId root = job->rootId;
+    const JobId job_id = job->id;
+    const std::uint32_t bytes = job->bytes;
+    network_.transfer(
+        from->machine(), target.machine(), bytes,
+        [this, job = std::move(job), node_id, t = &target]() mutable {
+            deliver(std::move(job), node_id, *t);
+        },
+        [this, root, job_id, node_id](hw::DropReason reason) {
+            onTransferDropped(root, job_id, node_id, reason);
+        });
 }
 
 void
@@ -491,8 +504,9 @@ Dispatcher::finishRequest(JobPtr job, MicroserviceInstance& last)
     if (++state.terminalsDone < variant.terminalCount)
         return;
     const JobId root_id = job->rootId;
-    network_.transfer(last.machine(), nullptr, job->bytes,
-                      [this, job]() mutable {
+    const std::uint32_t bytes = job->bytes;
+    network_.transfer(last.machine(), nullptr, bytes,
+                      [this, job = std::move(job)]() mutable {
                           completeAtClient(std::move(job));
                       },
                       [this, root_id](hw::DropReason reason) {
@@ -640,8 +654,8 @@ Dispatcher::launchAttempt(JobId root, int node_id, JobPtr job)
     }
     MicroserviceInstance* from = hs.from;
     ConnectionPool* pool = &deployment_.pool(*from, *target);
-    pool->acquire([this, job, node_id, from, t = target, pool,
-                   root](ConnectionId conn) mutable {
+    pool->acquire([this, job = std::move(job), node_id, from, t = target,
+                   pool, root](ConnectionId conn) mutable {
         RootState* st = findRoot(root);
         if (st == nullptr || deadJobs_.erase(job->id) > 0) {
             pool->release(conn);
@@ -662,15 +676,7 @@ Dispatcher::launchAttempt(JobId root, int node_id, JobPtr job)
             }
         }
         st->hops.push_back(ForwardHop{from, t, conn, pool});
-        job->connectionId = conn;
-        network_.transfer(
-            from->machine(), t->machine(), job->bytes,
-            [this, job, node_id, t]() mutable {
-                deliver(std::move(job), node_id, *t);
-            },
-            [this, job, node_id](hw::DropReason reason) mutable {
-                onTransferDropped(std::move(job), node_id, reason);
-            });
+        sendForward(std::move(job), conn, node_id, from, *t);
     });
 }
 
@@ -790,19 +796,19 @@ Dispatcher::onJobFailed(JobPtr job, MicroserviceInstance& inst,
 }
 
 void
-Dispatcher::onTransferDropped(JobPtr job, int node_id,
+Dispatcher::onTransferDropped(JobId root, JobId job_id, int node_id,
                               hw::DropReason reason)
 {
-    if (deadJobs_.erase(job->id) > 0)
+    if (deadJobs_.erase(job_id) > 0)
         return;
-    RootState* state = findRoot(job->rootId);
+    RootState* state = findRoot(root);
     if (state == nullptr)
         return;
     const PathNode& node = tree_.node(state->variant, node_id);
     if (reason == hw::DropReason::Unreachable)
         ++tierFault(node.serviceId).unreachable;
-    failAttemptOrRequest(job->rootId, node_id, job->id,
-                         dropFailReason(reason), node.serviceId);
+    failAttemptOrRequest(root, node_id, job_id, dropFailReason(reason),
+                         node.serviceId);
 }
 
 void

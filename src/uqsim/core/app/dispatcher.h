@@ -262,6 +262,15 @@ class Dispatcher {
                                          const PathNode& node);
     void routeToNode(JobPtr job, int node_id,
                      MicroserviceInstance* from);
+    /** Sends @p job from outside the cluster (client leg, no pool);
+     *  a drop fails the request. */
+    void sendFromClient(JobPtr job, int node_id,
+                        MicroserviceInstance& target);
+    /** Sends @p job on pooled connection @p conn toward @p target
+     *  (forward hop); a drop consumes a retry of a managed hop. */
+    void sendForward(JobPtr job, ConnectionId conn, int node_id,
+                     MicroserviceInstance* from,
+                     MicroserviceInstance& target);
     void deliver(JobPtr job, int node_id, MicroserviceInstance& target);
     void onNodeComplete(JobPtr job, MicroserviceInstance& inst);
     void finishRequest(JobPtr job, MicroserviceInstance& last);
@@ -293,7 +302,7 @@ class Dispatcher {
                      fault::FailReason reason);
     /** Message dropped in transit toward a managed hop: consumes a
      *  retry before failing the request. */
-    void onTransferDropped(JobPtr job, int node_id,
+    void onTransferDropped(JobId root, JobId job_id, int node_id,
                            hw::DropReason reason);
     /** Message dropped on an unmanaged edge (client legs, pooled
      *  response legs): fails the whole request, counting an

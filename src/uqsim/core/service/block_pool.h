@@ -3,46 +3,47 @@
 
 /**
  * @file
- * Fixed-size block pool and a std-compatible allocator over it.
+ * Fixed-size block pool that outlives its owner while blocks are out.
  *
  * Jobs are allocated and destroyed once per request hop; at steady
  * state the population is bounded by the number of in-flight
  * requests, which makes a free-list pool the right shape: blocks are
  * carved from slab allocations, recycled on a LIFO free list, and
- * only returned to the OS when the pool dies.  The PoolAllocator
- * plugs the pool into std::allocate_shared so a Job and its
- * shared_ptr control block land in one recycled block.
+ * only returned to the OS when the pool dies.
+ *
+ * Lifetime without reference counts: the owner heap-allocates the
+ * pool and calls orphan() instead of deleting it.  A pool with no
+ * blocks out deletes itself at once; otherwise it deletes itself
+ * when the last block comes back.  A handle therefore carries a raw
+ * pointer to its pool and may die after the pool's owner (a test
+ * harness that declares its JobFactory after the instance holding
+ * the jobs, or events still queued when a simulation is torn down).
  *
  * Single-threaded by design, like everything inside one Simulator;
  * parallel sweeps give every replication its own pool.
  */
 
-#include <cassert>
 #include <cstddef>
 #include <memory>
-#include <new>
 #include <vector>
 
 namespace uqsim {
 
-/**
- * Pool of equally-sized blocks.  The block size is fixed by the
- * first allocation; the pool serves exactly one object type (plus
- * its allocate_shared control-block wrapper).
- */
+/** Pool of equally-sized blocks; create with new, end with orphan(). */
 class FixedBlockPool {
   public:
-    FixedBlockPool() = default;
+    explicit FixedBlockPool(std::size_t block_size)
+        : stride_((block_size + alignof(std::max_align_t) - 1) &
+                  ~(alignof(std::max_align_t) - 1))
+    {
+    }
+
     FixedBlockPool(const FixedBlockPool&) = delete;
     FixedBlockPool& operator=(const FixedBlockPool&) = delete;
 
     void*
-    allocate(std::size_t bytes)
+    allocate()
     {
-        if (blockSize_ == 0)
-            blockSize_ = bytes;
-        assert(bytes == blockSize_ &&
-               "FixedBlockPool serves one block size");
         if (free_.empty())
             grow();
         void* block = free_.back();
@@ -54,13 +55,19 @@ class FixedBlockPool {
     deallocate(void* block)
     {
         free_.push_back(block);
+        if (orphaned_ && liveBlocks() == 0)
+            delete this;
     }
 
-    /** Blocks ever carved (diagnostics; live + free). */
-    std::size_t capacity() const { return capacity_; }
-
-    /** Blocks currently on the free list (diagnostics). */
-    std::size_t freeBlocks() const { return free_.size(); }
+    /** Gives up the owner's reference: the pool deletes itself now,
+     *  or when its last block comes back. */
+    void
+    orphan()
+    {
+        orphaned_ = true;
+        if (liveBlocks() == 0)
+            delete this;
+    }
 
     /** Blocks currently handed out — the live object population.
      *  The invariant auditor checks this drops to zero when a
@@ -70,79 +77,25 @@ class FixedBlockPool {
   private:
     static constexpr std::size_t kBlocksPerSlab = 256;
 
+    ~FixedBlockPool() = default;
+
     void
     grow()
     {
-        const std::size_t stride =
-            (blockSize_ + alignof(std::max_align_t) - 1) &
-            ~(alignof(std::max_align_t) - 1);
         slabs_.push_back(std::make_unique<unsigned char[]>(
-            stride * kBlocksPerSlab));
+            stride_ * kBlocksPerSlab));
         unsigned char* base = slabs_.back().get();
         free_.reserve(free_.size() + kBlocksPerSlab);
         for (std::size_t i = kBlocksPerSlab; i-- > 0;)
-            free_.push_back(base + i * stride);
+            free_.push_back(base + i * stride_);
         capacity_ += kBlocksPerSlab;
     }
 
-    std::size_t blockSize_ = 0;
+    std::size_t stride_;
     std::size_t capacity_ = 0;
+    bool orphaned_ = false;
     std::vector<std::unique_ptr<unsigned char[]>> slabs_;
     std::vector<void*> free_;
-};
-
-/**
- * Allocator handing out FixedBlockPool blocks for single-object
- * allocations (the allocate_shared case).  Copies share the pool via
- * shared_ptr, so the pool outlives every object allocated from it.
- */
-template <typename T>
-class PoolAllocator {
-  public:
-    using value_type = T;
-
-    explicit PoolAllocator(std::shared_ptr<FixedBlockPool> pool)
-        : pool_(std::move(pool))
-    {
-    }
-
-    template <typename U>
-    PoolAllocator(const PoolAllocator<U>& other) : pool_(other.pool_)
-    {
-    }
-
-    T*
-    allocate(std::size_t n)
-    {
-        if (n != 1) {
-            return static_cast<T*>(
-                ::operator new(n * sizeof(T)));
-        }
-        return static_cast<T*>(pool_->allocate(sizeof(T)));
-    }
-
-    void
-    deallocate(T* p, std::size_t n)
-    {
-        if (n != 1) {
-            ::operator delete(p);
-            return;
-        }
-        pool_->deallocate(p);
-    }
-
-    template <typename U>
-    bool
-    operator==(const PoolAllocator<U>& other) const
-    {
-        return pool_ == other.pool_;
-    }
-
-  private:
-    template <typename U>
-    friend class PoolAllocator;
-
-    std::shared_ptr<FixedBlockPool> pool_;
 };
 
 }  // namespace uqsim

@@ -85,8 +85,6 @@ class ConnectionTable {
      *  callback so the table is reusable after recovery. */
     void reset() { connections_.clear(); }
 
-    std::size_t connectionCount() const { return connections_.size(); }
-
   private:
     std::map<ConnectionId, Connection> connections_;
     std::function<void(ConnectionId)> onUnblock_;

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
+#include <iterator>
 #include <stdexcept>
 
 namespace uqsim {
@@ -228,23 +228,38 @@ MicroserviceInstance::tryStartWork()
                 !resource->tryAcquire(sim_.now()))
                 continue;
         }
-        std::vector<JobPtr> batch = queue.popBatch();
-        if (batch.empty()) {
+        const std::uint32_t slot = takeBatchSlot();
+        queue.popBatch(batchSlots_[slot].jobs);
+        if (batchSlots_[slot].jobs.empty()) {
+            freeBatchSlots_.push_back(slot);
             if (resource != nullptr)
                 resource->release(sim_.now());
             continue;
         }
         --idleThreads_;
-        startBatch(stage_id, std::move(batch));
+        startBatch(stage_id, slot);
         return true;
     }
     return false;
 }
 
+std::uint32_t
+MicroserviceInstance::takeBatchSlot()
+{
+    if (freeBatchSlots_.empty()) {
+        batchSlots_.emplace_back();
+        return static_cast<std::uint32_t>(batchSlots_.size() - 1);
+    }
+    const std::uint32_t slot = freeBatchSlots_.back();
+    freeBatchSlots_.pop_back();
+    return slot;
+}
+
 void
-MicroserviceInstance::startBatch(int stage_id, std::vector<JobPtr> batch)
+MicroserviceInstance::startBatch(int stage_id, std::uint32_t slot)
 {
     const StageConfig& stage = model_->stage(stage_id);
+    const std::vector<JobPtr>& batch = batchSlots_[slot].jobs;
     std::uint64_t bytes = 0;
     for (const JobPtr& job : batch)
         bytes += job->bytes;
@@ -258,29 +273,15 @@ MicroserviceInstance::startBatch(int stage_id, std::vector<JobPtr> batch)
         duration = static_cast<SimTime>(std::llround(
             static_cast<double>(duration) * slowFactor_));
     }
-    ++batches_;
+    batchSlots_[slot].started = batches_++;
     batchSizes_.add(static_cast<double>(batch.size()));
 
-    // Recycle a shared batch record when its completion event has
-    // fully drained (the free list holds the only reference); this
-    // keeps steady-state batch turnover free of shared_ptr
-    // control-block allocations.
-    std::shared_ptr<std::vector<JobPtr>> shared_batch;
-    if (!batchPool_.empty() && batchPool_.back().use_count() == 1) {
-        shared_batch = std::move(batchPool_.back());
-        batchPool_.pop_back();
-        *shared_batch = std::move(batch);
-    } else {
-        shared_batch =
-            std::make_shared<std::vector<JobPtr>>(std::move(batch));
-    }
-    activeBatches_.push_back(shared_batch);
     if (stage.resource == StageResource::Disk &&
         machineDisk_ != nullptr) {
         // A sized operation against the shared disk: the sampled
         // duration rides on top of the bandwidth term as the access
         // latency, and the batch completes when the last byte moves.
-        const std::uint64_t jobs = shared_batch->size();
+        const std::uint64_t jobs = batch.size();
         const std::uint64_t io_bytes =
             stage.ioBytes > 0 ? stage.ioBytes * jobs : bytes;
         machineDisk_->submit(
@@ -288,22 +289,18 @@ MicroserviceInstance::startBatch(int stage_id, std::vector<JobPtr> batch)
                 ? hw::Disk::OpKind::Read
                 : hw::Disk::OpKind::Write,
             io_bytes, simTimeToSeconds(duration),
-            [this, stage_id, shared_batch]() {
-                finishBatch(stage_id, *shared_batch);
-            },
+            [this, stage_id, slot]() { finishBatch(stage_id, slot); },
             stageLabels_[static_cast<std::size_t>(stage_id)].c_str());
         return;
     }
     sim_.scheduleAfter(
         duration,
-        [this, stage_id, shared_batch]() {
-            finishBatch(stage_id, *shared_batch);
-        },
+        [this, stage_id, slot]() { finishBatch(stage_id, slot); },
         stageLabels_[static_cast<std::size_t>(stage_id)].c_str());
 }
 
 void
-MicroserviceInstance::finishBatch(int stage_id, std::vector<JobPtr>& batch)
+MicroserviceInstance::finishBatch(int stage_id, std::uint32_t slot)
 {
     const StageConfig& stage = model_->stage(stage_id);
     if (stage.resource != StageResource::Disk ||
@@ -314,20 +311,13 @@ MicroserviceInstance::finishBatch(int stage_id, std::vector<JobPtr>& batch)
         resource->release(sim_.now());
     }
     ++idleThreads_;
-    // Deregister; a crash may already have cleared the registry (and
-    // the batch), in which case this completes empty.
-    auto it = std::find_if(
-        activeBatches_.begin(), activeBatches_.end(),
-        [&batch](const std::shared_ptr<std::vector<JobPtr>>& entry) {
-            return entry.get() == &batch;
-        });
-    if (it != activeBatches_.end()) {
-        batchPool_.push_back(std::move(*it));
-        activeBatches_.erase(it);
-    }
-    for (JobPtr& job : batch)
-        advanceJob(std::move(job));
-    batch.clear();
+    // A crash may already have emptied the slot, in which case this
+    // completes empty.  Index afresh each step: advancing a job can
+    // start another batch, which may grow the slot table.
+    for (std::size_t i = 0; i < batchSlots_[slot].jobs.size(); ++i)
+        advanceJob(std::move(batchSlots_[slot].jobs[i]));
+    batchSlots_[slot].jobs.clear();
+    freeBatchSlots_.push_back(slot);
     scheduleWork();
 }
 
@@ -338,19 +328,26 @@ MicroserviceInstance::crash()
         return;
     down_ = true;
     std::vector<JobPtr> victims;
-    for (auto& queue : queues_) {
-        for (JobPtr& job : queue->drainAll())
-            victims.push_back(std::move(job));
+    for (auto& queue : queues_)
+        queue->drainAll(victims);
+    // Jobs inside running batches die too, oldest batch first.  The
+    // batch-completion events stay scheduled — they release the core
+    // and the worker with zero jobs, keeping resource accounting
+    // balanced.
+    std::vector<BatchSlot*> running;
+    for (BatchSlot& slot : batchSlots_) {
+        if (!slot.jobs.empty())
+            running.push_back(&slot);
     }
-    // Jobs inside running batches die too.  The batch-completion
-    // events stay scheduled — they release the core and the worker
-    // with zero jobs, keeping resource accounting balanced.
-    for (auto& entry : activeBatches_) {
-        for (JobPtr& job : *entry)
-            victims.push_back(std::move(job));
-        entry->clear();
+    std::sort(running.begin(), running.end(),
+              [](const BatchSlot* a, const BatchSlot* b) {
+                  return a->started < b->started;
+              });
+    for (BatchSlot* slot : running) {
+        std::move(slot->jobs.begin(), slot->jobs.end(),
+                  std::back_inserter(victims));
+        slot->jobs.clear();
     }
-    activeBatches_.clear();
     connections_.reset();
     killed_ += victims.size();
     if (onJobFailed_) {

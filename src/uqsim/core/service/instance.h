@@ -196,8 +196,9 @@ class MicroserviceInstance {
 
   private:
     bool tryStartWork();
-    void startBatch(int stage_id, std::vector<JobPtr> batch);
-    void finishBatch(int stage_id, std::vector<JobPtr>& batch);
+    std::uint32_t takeBatchSlot();
+    void startBatch(int stage_id, std::uint32_t slot);
+    void finishBatch(int stage_id, std::uint32_t slot);
     void advanceJob(JobPtr job);
     bool oversubscribed() const { return threads_ > coreCapacity_; }
     void maybeSpawnThread();
@@ -242,12 +243,18 @@ class MicroserviceInstance {
     std::uint64_t killed_ = 0;
     std::uint64_t rejected_ = 0;
     std::uint64_t refused_ = 0;
-    /** Batches currently executing; cleared (jobs killed) on crash
-     *  while their completion events drain harmlessly. */
-    std::vector<std::shared_ptr<std::vector<JobPtr>>> activeBatches_;
-    /** Finished batch records awaiting reuse; an entry is reusable
-     *  once its completion event dropped the last other reference. */
-    std::vector<std::shared_ptr<std::vector<JobPtr>>> batchPool_;
+    /** A running batch.  Its completion event (or hw::Disk
+     *  callback) captures the slot index; a crash empties the jobs
+     *  but the slot stays taken until that completion frees it. */
+    struct BatchSlot {
+        std::vector<JobPtr> jobs;
+        /** Start order (batches_ at start): a crash kills running
+         *  batches oldest first. */
+        std::uint64_t started = 0;
+    };
+    std::vector<BatchSlot> batchSlots_;
+    /** Slots not running a batch; freed slots keep their capacity. */
+    std::vector<std::uint32_t> freeBatchSlots_;
 };
 
 using InstancePtr = std::unique_ptr<MicroserviceInstance>;

@@ -1,11 +1,19 @@
 #include "uqsim/core/service/job.h"
 
+#include <new>
+
 namespace uqsim {
+
+JobPtr
+JobFactory::make(const Job& init)
+{
+    return JobPtr(::new (pool_->allocate()) Job(init), JobDeleter{pool_});
+}
 
 JobPtr
 JobFactory::createRoot(SimTime now, std::uint32_t bytes)
 {
-    JobPtr job = std::allocate_shared<Job>(allocator_);
+    JobPtr job = make(Job{});
     job->id = nextId_++;
     job->rootId = job->id;
     job->bytes = bytes;
@@ -17,7 +25,7 @@ JobFactory::createRoot(SimTime now, std::uint32_t bytes)
 JobPtr
 JobFactory::createCopy(const Job& parent)
 {
-    JobPtr job = std::allocate_shared<Job>(allocator_, parent);
+    JobPtr job = make(parent);
     job->id = nextId_++;
     job->connectionId = kNoConnection;
     job->stageIndex = -1;

@@ -9,10 +9,16 @@
  * the job (one copy per child node); all copies share the root id,
  * which fan-in synchronization and connection unblocking match on
  * (paper §III-C).
+ *
+ * Every job has exactly one owner at a time — a stage queue, a
+ * running batch, a message in flight, or a managed hop's retry
+ * prototype — so JobPtr is a move-only handle whose deleter returns
+ * the job's block to its pool.
  */
 
 #include <cstdint>
 #include <memory>
+#include <type_traits>
 
 #include "uqsim/core/engine/sim_time.h"
 #include "uqsim/core/service/block_pool.h"
@@ -59,22 +65,36 @@ struct Job {
     int clientTag = -1;
 };
 
-using JobPtr = std::shared_ptr<Job>;
+/** Destroys a Job and returns its block to the pool it came from. */
+struct JobDeleter {
+    FixedBlockPool* pool = nullptr;
+
+    void
+    operator()(Job* job) const
+    {
+        job->~Job();
+        pool->deallocate(job);
+    }
+};
+
+/** Move-only job handle (see the file comment). */
+using JobPtr = std::unique_ptr<Job, JobDeleter>;
+
+static_assert(!std::is_copy_constructible_v<JobPtr>,
+              "a job has exactly one owner");
 
 /**
- * Allocates jobs with unique ids.  Jobs come from a free-list block
- * pool via allocate_shared — object and control block in one
- * recycled allocation, so steady-state job churn never touches the
- * heap.  The pool is shared into every JobPtr's deleter and outlives
- * the factory if jobs do.
+ * Allocates jobs with unique ids from a free-list block pool, so
+ * steady-state job churn never touches the heap.  The pool outlives
+ * the factory while jobs are still out (block_pool.h).
  */
 class JobFactory {
   public:
-    JobFactory()
-        : pool_(std::make_shared<FixedBlockPool>()),
-          allocator_(pool_)
-    {
-    }
+    JobFactory() : pool_(new FixedBlockPool(sizeof(Job))) {}
+    ~JobFactory() { pool_->orphan(); }
+
+    JobFactory(const JobFactory&) = delete;
+    JobFactory& operator=(const JobFactory&) = delete;
 
     /** Creates a new root job issued at @p now. */
     JobPtr createRoot(SimTime now, std::uint32_t bytes);
@@ -85,18 +105,16 @@ class JobFactory {
     /** Total jobs ever created. */
     JobId created() const { return nextId_ - 1; }
 
-    /** Pool blocks ever carved (diagnostics; bounds live jobs). */
-    std::size_t poolCapacity() const { return pool_->capacity(); }
-
     /** Jobs currently alive (allocated and not yet destroyed).
-     *  Exact: every job occupies exactly one pool block, object and
-     *  control block fused by allocate_shared. */
+     *  Exact: every job occupies exactly one pool block. */
     std::size_t liveJobs() const { return pool_->liveBlocks(); }
 
   private:
+    JobPtr make(const Job& init);
+
     JobId nextId_ = 1;
-    std::shared_ptr<FixedBlockPool> pool_;
-    PoolAllocator<Job> allocator_;
+    /** Owned until orphan() in the destructor. */
+    FixedBlockPool* pool_;
 };
 
 }  // namespace uqsim

@@ -1,45 +1,10 @@
 #include "uqsim/core/service/stage_queue.h"
 
+#include <algorithm>
+#include <iterator>
 #include <stdexcept>
 
 namespace uqsim {
-
-namespace {
-
-/**
- * Number of jobs poppable from the front of a per-connection
- * subqueue.  An unblocked connection serves up to the batch limit;
- * a receive-blocked connection serves only the leading jobs that
- * belong to the blocking request itself (HTTP/1.1: the in-flight
- * request proceeds, subsequent requests wait).
- */
-std::size_t
-eligibleCount(const std::deque<JobPtr>& queue,
-              const ConnectionTable* connections, ConnectionId id,
-              int batch_limit)
-{
-    if (queue.empty())
-        return 0;
-    std::size_t cap =
-        batch_limit > 0
-            ? std::min(queue.size(),
-                       static_cast<std::size_t>(batch_limit))
-            : queue.size();
-    if (connections == nullptr)
-        return cap;
-    const JobId owner = connections->blockOwner(id);
-    if (owner == 0)
-        return cap;
-    std::size_t count = 0;
-    for (const JobPtr& job : queue) {
-        if (count >= cap || job->rootId != owner)
-            break;
-        ++count;
-    }
-    return count;
-}
-
-}  // namespace
 
 std::unique_ptr<StageQueue>
 StageQueue::create(const StageConfig& config,
@@ -72,181 +37,145 @@ SingleQueue::push(JobPtr job)
     queue_.push_back(std::move(job));
 }
 
-std::vector<JobPtr>
-SingleQueue::popBatch()
+void
+SingleQueue::popBatch(std::vector<JobPtr>& out)
 {
-    std::vector<JobPtr> batch;
-    if (queue_.empty())
-        return batch;
-    std::size_t take = 1;
+    std::size_t take = std::min<std::size_t>(queue_.size(), 1);
     if (batching_) {
         take = batchLimit_ > 0
                    ? std::min(queue_.size(),
                               static_cast<std::size_t>(batchLimit_))
                    : queue_.size();
     }
-    batch.reserve(take);
     for (std::size_t i = 0; i < take; ++i) {
-        batch.push_back(std::move(queue_.front()));
+        out.push_back(std::move(queue_.front()));
         queue_.pop_front();
     }
-    return batch;
 }
 
-std::vector<JobPtr>
-SingleQueue::drainAll()
+void
+SingleQueue::drainAll(std::vector<JobPtr>& out)
 {
-    std::vector<JobPtr> jobs(std::make_move_iterator(queue_.begin()),
-                             std::make_move_iterator(queue_.end()));
+    for (JobPtr& job : queue_)
+        out.push_back(std::move(job));
     queue_.clear();
-    return jobs;
+}
+
+// ------------------------------------------------------------ Connection
+
+void
+ConnectionQueue::push(JobPtr job)
+{
+    subqueues_[job->connectionId].push_back(std::move(job));
+    ++total_;
+}
+
+/**
+ * An unblocked connection serves up to the batch limit; a
+ * receive-blocked connection serves only the leading jobs that
+ * belong to the blocking request itself (HTTP/1.1: the in-flight
+ * request proceeds, subsequent requests wait).
+ */
+std::size_t
+ConnectionQueue::eligible(const Subqueues::value_type& subqueue) const
+{
+    const auto& [id, queue] = subqueue;
+    const std::size_t cap =
+        batchLimit_ > 0
+            ? std::min(queue.size(), static_cast<std::size_t>(batchLimit_))
+            : queue.size();
+    if (connections_ == nullptr)
+        return cap;
+    const JobId owner = connections_->blockOwner(id);
+    if (owner == 0)
+        return cap;
+    std::size_t count = 0;
+    for (const JobPtr& job : queue) {
+        if (count >= cap || job->rootId != owner)
+            break;
+        ++count;
+    }
+    return count;
+}
+
+bool
+ConnectionQueue::hasEligible() const
+{
+    return std::any_of(
+        subqueues_.begin(), subqueues_.end(),
+        [this](const auto& subqueue) { return eligible(subqueue) > 0; });
+}
+
+ConnectionQueue::Subqueues::iterator
+ConnectionQueue::take(Subqueues::iterator it, std::size_t count,
+                      std::vector<JobPtr>& out)
+{
+    std::deque<JobPtr>& queue = it->second;
+    for (std::size_t i = 0; i < count; ++i) {
+        out.push_back(std::move(queue.front()));
+        queue.pop_front();
+    }
+    total_ -= count;
+    return queue.empty() ? subqueues_.erase(it) : std::next(it);
+}
+
+void
+ConnectionQueue::drainAll(std::vector<JobPtr>& out)
+{
+    for (auto& [id, queue] : subqueues_) {
+        for (JobPtr& job : queue)
+            out.push_back(std::move(job));
+    }
+    subqueues_.clear();
+    total_ = 0;
 }
 
 // ---------------------------------------------------------------- Socket
 
-SocketQueue::SocketQueue(int batch_limit,
-                         const ConnectionTable* connections)
-    : batchLimit_(batch_limit), connections_(connections)
-{
-}
-
 void
-SocketQueue::push(JobPtr job)
+SocketQueue::popBatch(std::vector<JobPtr>& out)
 {
-    subqueues_[job->connectionId].push_back(std::move(job));
-    ++total_;
-}
-
-bool
-SocketQueue::hasEligible() const
-{
-    // Subqueues are erased when drained, so this only scans
-    // connections with pending jobs (usually few).
-    for (const auto& [id, queue] : subqueues_) {
-        if (eligibleCount(queue, connections_, id, batchLimit_) > 0)
-            return true;
-    }
-    return false;
-}
-
-std::vector<JobPtr>
-SocketQueue::popBatch()
-{
-    std::vector<JobPtr> batch;
-    if (subqueues_.empty())
-        return batch;
     // Round-robin: scan connections after the cursor first.
-    auto serve = [&](auto begin, auto end) -> bool {
+    auto serve = [&](Subqueues::iterator begin,
+                     Subqueues::iterator end) -> bool {
         for (auto it = begin; it != end; ++it) {
-            const std::size_t take = eligibleCount(
-                it->second, connections_, it->first, batchLimit_);
-            if (take == 0)
+            const std::size_t count = eligible(*it);
+            if (count == 0)
                 continue;
-            std::deque<JobPtr>& queue = it->second;
-            for (std::size_t i = 0; i < take; ++i) {
-                batch.push_back(std::move(queue.front()));
-                queue.pop_front();
-            }
-            total_ -= take;
             cursor_ = it->first;
-            if (queue.empty())
-                subqueues_.erase(it);
+            take(it, count, out);
             return true;
         }
         return false;
     };
-    auto pivot = subqueues_.upper_bound(cursor_);
+    const auto pivot = subqueues_.upper_bound(cursor_);
     if (!serve(pivot, subqueues_.end()))
         serve(subqueues_.begin(), pivot);
-    return batch;
 }
 
-std::vector<JobPtr>
-SocketQueue::drainAll()
+void
+SocketQueue::drainAll(std::vector<JobPtr>& out)
 {
-    std::vector<JobPtr> jobs;
-    jobs.reserve(total_);
-    for (auto& [id, queue] : subqueues_) {
-        for (JobPtr& job : queue)
-            jobs.push_back(std::move(job));
-    }
-    subqueues_.clear();
-    total_ = 0;
+    ConnectionQueue::drainAll(out);
     cursor_ = kNoConnection;
-    return jobs;
 }
 
 // ----------------------------------------------------------------- Epoll
 
-EpollQueue::EpollQueue(int batch_limit, const ConnectionTable* connections)
-    : batchLimit_(batch_limit), connections_(connections)
-{
-}
-
-void
-EpollQueue::push(JobPtr job)
-{
-    subqueues_[job->connectionId].push_back(std::move(job));
-    ++total_;
-}
-
-bool
-EpollQueue::hasEligible() const
-{
-    for (const auto& [id, queue] : subqueues_) {
-        if (eligibleCount(queue, connections_, id, batchLimit_) > 0)
-            return true;
-    }
-    return false;
-}
-
 std::size_t
 EpollQueue::activeSubqueues() const
 {
-    std::size_t active = 0;
-    for (const auto& [id, queue] : subqueues_) {
-        if (eligibleCount(queue, connections_, id, batchLimit_) > 0)
-            ++active;
-    }
-    return active;
+    return static_cast<std::size_t>(std::count_if(
+        subqueues_.begin(), subqueues_.end(),
+        [this](const auto& subqueue) { return eligible(subqueue) > 0; }));
 }
 
-std::vector<JobPtr>
-EpollQueue::popBatch()
+void
+EpollQueue::popBatch(std::vector<JobPtr>& out)
 {
-    std::vector<JobPtr> batch;
-    // First N jobs of each active subqueue (paper §III-B).  Drained
-    // subqueues are erased so future scans skip them.
-    for (auto it = subqueues_.begin(); it != subqueues_.end();) {
-        std::deque<JobPtr>& queue = it->second;
-        const std::size_t take =
-            eligibleCount(queue, connections_, it->first, batchLimit_);
-        for (std::size_t i = 0; i < take; ++i) {
-            batch.push_back(std::move(queue.front()));
-            queue.pop_front();
-        }
-        total_ -= take;
-        if (queue.empty()) {
-            it = subqueues_.erase(it);
-        } else {
-            ++it;
-        }
-    }
-    return batch;
-}
-
-std::vector<JobPtr>
-EpollQueue::drainAll()
-{
-    std::vector<JobPtr> jobs;
-    jobs.reserve(total_);
-    for (auto& [id, queue] : subqueues_) {
-        for (JobPtr& job : queue)
-            jobs.push_back(std::move(job));
-    }
-    subqueues_.clear();
-    total_ = 0;
-    return jobs;
+    // First N jobs of each active subqueue (paper §III-B).
+    for (auto it = subqueues_.begin(); it != subqueues_.end();)
+        it = take(it, eligible(*it), out);
 }
 
 }  // namespace uqsim

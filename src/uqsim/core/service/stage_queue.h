@@ -39,14 +39,16 @@ class StageQueue {
     /** True when a pop would return at least one job. */
     virtual bool hasEligible() const = 0;
 
-    /** Pops one batch per the stage's discipline. */
-    virtual std::vector<JobPtr> popBatch() = 0;
+    /** Pops one batch per the stage's discipline, appending it to
+     *  @p out (a running-batch slot keeps its capacity). */
+    virtual void popBatch(std::vector<JobPtr>& out) = 0;
 
     /** Jobs currently queued (eligible or not). */
     virtual std::size_t size() const = 0;
 
-    /** Removes and returns every queued job (instance crash). */
-    virtual std::vector<JobPtr> drainAll() = 0;
+    /** Removes every queued job, appending it to @p out (instance
+     *  crash). */
+    virtual void drainAll(std::vector<JobPtr>& out) = 0;
 
     /**
      * Factory from a stage configuration.  @p connections supplies
@@ -66,9 +68,9 @@ class SingleQueue : public StageQueue {
 
     void push(JobPtr job) override;
     bool hasEligible() const override { return !queue_.empty(); }
-    std::vector<JobPtr> popBatch() override;
+    void popBatch(std::vector<JobPtr>& out) override;
     std::size_t size() const override { return queue_.size(); }
-    std::vector<JobPtr> drainAll() override;
+    void drainAll(std::vector<JobPtr>& out) override;
 
   private:
     std::deque<JobPtr> queue_;
@@ -76,45 +78,70 @@ class SingleQueue : public StageQueue {
     int batchLimit_;
 };
 
-/** Per-connection subqueues; pop serves one ready connection. */
-class SocketQueue : public StageQueue {
+/**
+ * Per-connection subqueues, shared by the socket and epoll
+ * disciplines.  A drained subqueue is erased, so scans only visit
+ * connections with pending jobs (usually few).
+ */
+class ConnectionQueue : public StageQueue {
   public:
-    SocketQueue(int batch_limit, const ConnectionTable* connections);
-
     void push(JobPtr job) override;
     bool hasEligible() const override;
-    std::vector<JobPtr> popBatch() override;
     std::size_t size() const override { return total_; }
-    std::vector<JobPtr> drainAll() override;
+    void drainAll(std::vector<JobPtr>& out) override;
+
+  protected:
+    using Subqueues = std::map<ConnectionId, std::deque<JobPtr>>;
+
+    ConnectionQueue(int batch_limit, const ConnectionTable* connections)
+        : batchLimit_(batch_limit), connections_(connections)
+    {
+    }
+
+    /** Jobs poppable now from the front of @p subqueue. */
+    std::size_t eligible(const Subqueues::value_type& subqueue) const;
+
+    /** Moves @p count jobs from the front of @p it to @p out,
+     *  erasing the subqueue when drained; returns the next one. */
+    Subqueues::iterator take(Subqueues::iterator it, std::size_t count,
+                             std::vector<JobPtr>& out);
+
+    Subqueues subqueues_;
 
   private:
-    std::map<ConnectionId, std::deque<JobPtr>> subqueues_;
     std::size_t total_ = 0;
     int batchLimit_;
     const ConnectionTable* connections_;
+};
+
+/** Per-connection subqueues; pop serves one ready connection. */
+class SocketQueue : public ConnectionQueue {
+  public:
+    SocketQueue(int batch_limit, const ConnectionTable* connections)
+        : ConnectionQueue(batch_limit, connections)
+    {
+    }
+
+    void popBatch(std::vector<JobPtr>& out) override;
+    void drainAll(std::vector<JobPtr>& out) override;
+
+  private:
     /** Round-robin cursor: last connection served. */
     ConnectionId cursor_ = kNoConnection;
 };
 
 /** Per-connection subqueues; pop serves all active connections. */
-class EpollQueue : public StageQueue {
+class EpollQueue : public ConnectionQueue {
   public:
-    EpollQueue(int batch_limit, const ConnectionTable* connections);
+    EpollQueue(int batch_limit, const ConnectionTable* connections)
+        : ConnectionQueue(batch_limit, connections)
+    {
+    }
 
-    void push(JobPtr job) override;
-    bool hasEligible() const override;
-    std::vector<JobPtr> popBatch() override;
-    std::size_t size() const override { return total_; }
-    std::vector<JobPtr> drainAll() override;
+    void popBatch(std::vector<JobPtr>& out) override;
 
     /** Number of currently active (pollable) subqueues. */
     std::size_t activeSubqueues() const;
-
-  private:
-    std::map<ConnectionId, std::deque<JobPtr>> subqueues_;
-    std::size_t total_ = 0;
-    int batchLimit_;
-    const ConnectionTable* connections_;
 };
 
 }  // namespace uqsim

@@ -59,21 +59,23 @@ Network::transfer(Machine* from, Machine* to, std::uint32_t bytes,
         // The sender still pays TX IRQ work and the message occupies
         // the wire before vanishing.  The wire leg itself may also
         // fail (dead link, unreachable); the model guarantees exactly
-        // one of done/dropped fires, so one shared callback serves
-        // both outcomes with the reason that actually happened.
-        auto shared =
-            std::make_shared<DropCallback>(std::move(dropped));
-        auto after_tx = [this, from, to, bytes, extra,
-                         shared]() mutable {
+        // one of its callbacks fires, and either one reports the drop
+        // with the reason that actually happened.
+        std::uint32_t slot;
+        if (freeLost_.empty()) {
+            slot = static_cast<std::uint32_t>(lost_.size());
+            lost_.emplace_back();
+        } else {
+            slot = freeLost_.back();
+            freeLost_.pop_back();
+        }
+        lost_[slot] = LostMessage{std::move(done), std::move(dropped)};
+        auto after_tx = [this, from, to, bytes, extra, slot]() {
             model_->transit(
                 from, to, bytes, extra,
-                [shared]() {
-                    if (*shared)
-                        (*shared)(DropReason::FaultLoss);
-                },
-                [shared](DropReason reason) {
-                    if (*shared)
-                        (*shared)(reason);
+                [this, slot]() { dropLost(slot, DropReason::FaultLoss); },
+                [this, slot](DropReason reason) {
+                    dropLost(slot, reason);
                 },
                 "net/drop");
         };
@@ -99,6 +101,15 @@ Network::transfer(Machine* from, Machine* to, std::uint32_t bytes,
     } else {
         after_tx();
     }
+}
+
+void
+Network::dropLost(std::uint32_t slot, DropReason reason)
+{
+    LostMessage message = std::move(lost_[slot]);
+    freeLost_.push_back(slot);
+    if (message.dropped)
+        message.dropped(reason);
 }
 
 void

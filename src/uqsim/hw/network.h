@@ -29,6 +29,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "uqsim/core/engine/simulator.h"
 #include "uqsim/hw/machine.h"
@@ -81,6 +82,16 @@ class Network {
 
   private:
     void deliver(Machine* to, std::uint32_t bytes, Callback done);
+    /** Fires and frees lost-message slot @p slot. */
+    void dropLost(std::uint32_t slot, DropReason reason);
+
+    /** A message lost to the degradation coin flip.  Its delivery
+     *  callback never runs; the slot keeps it (and the job it owns)
+     *  alive until the drop verdict fires. */
+    struct LostMessage {
+        Callback done;
+        DropCallback dropped;
+    };
 
     Simulator& sim_;
     std::unique_ptr<NetworkModel> model_;
@@ -90,6 +101,10 @@ class Network {
     double lossProb_ = 0.0;
     std::uint64_t dropped_ = 0;
     random::RngStream faultRng_;
+    /** Lost messages in flight, indexed by slot; the model's two
+     *  callbacks both capture the slot index. */
+    std::vector<LostMessage> lost_;
+    std::vector<std::uint32_t> freeLost_;
 };
 
 }  // namespace hw

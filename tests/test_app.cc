@@ -231,16 +231,16 @@ struct AppFixture {
      * (they share the pool allocator, as the real Client does), so
      * the key is mapped through the deployment's allocator.
      */
-    JobPtr
+    JobId
     issue(MicroserviceInstance& front, int conn_key)
     {
         auto [it, inserted] = clientConns.try_emplace(conn_key, 0);
         if (inserted)
             it->second = deployment.connectionIds().next();
         JobPtr job = dispatcher->jobs().createRoot(sim.now(), 100);
-        JobPtr keep = job;
+        const JobId root = job->rootId;
         dispatcher->startRequest(std::move(job), front, it->second);
-        return keep;
+        return root;
     }
 
     std::map<int, ConnectionId> clientConns;
@@ -399,10 +399,10 @@ TEST(Dispatcher, SingleNodeRequestCompletes)
     app.deployment.deployInstance("svc", "", {});
     app.tree.addVariant(chainVariant({"svc"}));
     app.finalize();
-    JobPtr job = app.issue(app.deployment.instance("svc", 0), 1);
+    const JobId root = app.issue(app.deployment.instance("svc", 0), 1);
     app.sim.run();
     ASSERT_EQ(app.completions.size(), 1u);
-    EXPECT_EQ(app.completions[0].first, job->rootId);
+    EXPECT_EQ(app.completions[0].first, root);
     // 10us processing + 2x wire latency (20us each way).
     EXPECT_EQ(app.completions[0].second,
               secondsToSimTime(10e-6 + 2 * 20e-6));

@@ -447,6 +447,39 @@ TEST(FaultInjection, ConnectionBlockingSurvivesBackendCrash)
     // request may still hold a block or a pooled connection.
     EXPECT_EQ(dispatcher.activeRequests(), 0u);
     EXPECT_EQ(dispatcher.blocks().totalPending(), 0u);
+    // Jobs killed inside running batches went back to the pool too.
+    EXPECT_EQ(dispatcher.jobs().liveJobs(), 0u);
+}
+
+TEST(FaultInjection, LossyWindowWithRetriesAndHedgesDrainsEveryJob)
+{
+    // Lost forward hops consume retries, hedges mint copies from the
+    // hop prototype, and lost client/response legs fail requests.
+    // Once the client stops and the run drains, no job may survive:
+    // not in a queue, a batch, a lost message, or a prototype.
+    ConfigBundle bundle = slowLeafBundle(
+        17,
+        R"({"timeout_s": 0.002, "retries": 2,)"
+        R"( "backoff_base_s": 0.0002, "jitter": 0.2,)"
+        R"( "hedge_delay_s": 0.001, "hedge_max": 1})");
+    bundle.client =
+        constantClient("front", 600.0, 64, R"(, "stop_s": 0.8)");
+    bundle.faults = json::parse(
+        R"({"faults": [)"
+        R"( {"type": "slow", "instance": "leaf.0", "start_s": 0.05,)"
+        R"(  "end_s": 0.8, "factor": 20.0},)"
+        R"( {"type": "network", "start_s": 0.3, "end_s": 0.7,)"
+        R"(  "extra_latency_us": 100.0, "loss_prob": 0.05}]})");
+    auto simulation = Simulation::fromBundle(bundle);
+    const RunReport report = simulation->run();
+    Dispatcher& dispatcher = simulation->dispatcher();
+
+    EXPECT_GT(simulation->cluster().network().droppedMessages(), 0u);
+    EXPECT_GT(report.retries, 0u);
+    EXPECT_GT(dispatcher.hedgesSent(), 0u);
+    EXPECT_GT(dispatcher.requestsFailed(), 0u);
+    EXPECT_EQ(dispatcher.activeRequests(), 0u);
+    EXPECT_EQ(dispatcher.jobs().liveJobs(), 0u);
 }
 
 // ------------------------------------------------ config validation

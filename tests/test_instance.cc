@@ -67,15 +67,15 @@ struct Harness {
         });
     }
 
-    JobPtr
+    JobId
     submit(ConnectionId conn, int path = 0)
     {
         JobPtr job = jobs.createRoot(sim.now(), 100);
         job->connectionId = conn;
         job->execPathId = path;
-        JobPtr copy = job;
-        instance.accept(std::move(copy));
-        return job;
+        const JobId id = job->id;
+        instance.accept(std::move(job));
+        return id;
     }
 
     Simulator sim;
@@ -125,11 +125,11 @@ TEST(Instance, DrainPolicyFinishesBeforeRepolling)
     // processed before the worker polls again, so job 1 completes
     // before job 2 when job 2 arrives during job 1's processing.
     Harness h(eventLoopModel());
-    JobPtr first = h.submit(1);
+    const JobId first = h.submit(1);
     h.sim.scheduleAt(3 * kMicrosecond, [&] { h.submit(2); });
     h.sim.run();
     ASSERT_EQ(h.completions.size(), 2u);
-    EXPECT_EQ(h.completions[0].first, first->id);
+    EXPECT_EQ(h.completions[0].first, first);
 }
 
 TEST(Instance, StageOrderPolicyStillCompletes)
@@ -291,7 +291,7 @@ TEST(Instance, UnblockTriggersScheduling)
     // Block connection 1 on behalf of an unrelated root; the job
     // delivered afterwards must wait.
     h.instance.connections().block(1, 424242);
-    JobPtr blocked = h.submit(1);
+    const JobId blocked = h.submit(1);
     h.sim.run();
     EXPECT_TRUE(h.completions.empty());
     EXPECT_EQ(h.instance.queuedJobs(), 1u);
@@ -299,7 +299,7 @@ TEST(Instance, UnblockTriggersScheduling)
     h.instance.connections().unblock(1, 424242);
     h.sim.run();
     ASSERT_EQ(h.completions.size(), 1u);
-    EXPECT_EQ(h.completions[0].first, blocked->id);
+    EXPECT_EQ(h.completions[0].first, blocked);
 }
 
 TEST(Instance, CpuUtilizationTracksBusyTime)

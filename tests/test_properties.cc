@@ -67,7 +67,8 @@ TEST_P(QueueConservationTest, RandomizedPushPopConservesJobs)
             queue->push(std::move(job));
             ++in_queue;
         } else {
-            const auto batch = queue->popBatch();
+            std::vector<JobPtr> batch;
+            queue->popBatch(batch);
             for (const JobPtr& job : batch) {
                 // Never pop a job twice, never invent jobs.
                 ASSERT_TRUE(pushed.count(job->id));
@@ -86,10 +87,11 @@ TEST_P(QueueConservationTest, RandomizedPushPopConservesJobs)
         ASSERT_EQ(queue->hasEligible(), in_queue > 0);
     }
     // Drain and verify total conservation.
-    while (queue->hasEligible()) {
-        for (const JobPtr& job : queue->popBatch())
-            popped[job->id] = true;
-    }
+    std::vector<JobPtr> rest;
+    while (queue->hasEligible())
+        queue->popBatch(rest);
+    for (const JobPtr& job : rest)
+        popped[job->id] = true;
     std::size_t popped_count = 0;
     for (const auto& [id, was_popped] : popped)
         popped_count += was_popped ? 1 : 0;
@@ -140,7 +142,9 @@ TEST(QueueBlockingProperty, NonOwnerJobsNeverEscapeBlockedConns)
                     owner[conn] = connections.blockOwner(conn);
             }
         } else {
-            for (const JobPtr& job : queue->popBatch()) {
+            std::vector<JobPtr> batch;
+            queue->popBatch(batch);
+            for (const JobPtr& job : batch) {
                 const ConnectionId c = job->connectionId;
                 if (connections.isBlocked(c)) {
                     EXPECT_EQ(job->rootId,

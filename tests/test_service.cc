@@ -37,6 +37,21 @@ TEST(JobFactory, UniqueIdsAndRootPropagation)
     EXPECT_EQ(factory.created(), 2u);
 }
 
+TEST(JobFactory, JobsMayOutliveTheFactory)
+{
+    JobPtr survivor;
+    {
+        JobFactory factory;
+        survivor = factory.createRoot(0, 64);
+        JobPtr copy = factory.createCopy(*survivor);
+        EXPECT_EQ(factory.liveJobs(), 2u);
+    }
+    // The pool outlives its factory while a job is out and frees
+    // itself with the last one (sanitizer builds check both).
+    EXPECT_EQ(survivor->bytes, 64u);
+    survivor.reset();
+}
+
 // ------------------------------------------------------ ServiceTimeModel
 
 TEST(ServiceTimeModel, FixedPlusRuntimeComponents)
@@ -176,6 +191,15 @@ makeJob(JobFactory& factory, ConnectionId conn, JobId root = 0)
     return job;
 }
 
+/** Pops one batch into a fresh vector. */
+std::vector<JobPtr>
+pop(StageQueue& queue)
+{
+    std::vector<JobPtr> batch;
+    queue.popBatch(batch);
+    return batch;
+}
+
 TEST(SingleQueue, NonBatchingPopsOne)
 {
     SingleQueue queue(false, 0);
@@ -183,7 +207,7 @@ TEST(SingleQueue, NonBatchingPopsOne)
     queue.push(makeJob(factory, 1));
     queue.push(makeJob(factory, 1));
     EXPECT_TRUE(queue.hasEligible());
-    EXPECT_EQ(queue.popBatch().size(), 1u);
+    EXPECT_EQ(pop(queue).size(), 1u);
     EXPECT_EQ(queue.size(), 1u);
 }
 
@@ -193,9 +217,9 @@ TEST(SingleQueue, BatchingRespectsLimit)
     JobFactory factory;
     for (int i = 0; i < 5; ++i)
         queue.push(makeJob(factory, 1));
-    EXPECT_EQ(queue.popBatch().size(), 3u);
-    EXPECT_EQ(queue.popBatch().size(), 2u);
-    EXPECT_TRUE(queue.popBatch().empty());
+    EXPECT_EQ(pop(queue).size(), 3u);
+    EXPECT_EQ(pop(queue).size(), 2u);
+    EXPECT_TRUE(pop(queue).empty());
 }
 
 TEST(SingleQueue, UnlimitedBatchTakesAll)
@@ -204,7 +228,7 @@ TEST(SingleQueue, UnlimitedBatchTakesAll)
     JobFactory factory;
     for (int i = 0; i < 5; ++i)
         queue.push(makeJob(factory, 1));
-    EXPECT_EQ(queue.popBatch().size(), 5u);
+    EXPECT_EQ(pop(queue).size(), 5u);
 }
 
 TEST(SingleQueue, FifoOrder)
@@ -215,7 +239,26 @@ TEST(SingleQueue, FifoOrder)
     const JobId first_id = first->id;
     queue.push(std::move(first));
     queue.push(makeJob(factory, 1));
-    EXPECT_EQ(queue.popBatch()[0]->id, first_id);
+    EXPECT_EQ(pop(queue)[0]->id, first_id);
+}
+
+TEST(SingleQueue, PopAndDrainAppendToCallerVector)
+{
+    SingleQueue queue(true, 2);
+    JobFactory factory;
+    for (int i = 0; i < 3; ++i)
+        queue.push(makeJob(factory, 1));
+    std::vector<JobPtr> out;
+    out.push_back(makeJob(factory, 7));
+    queue.popBatch(out);
+    ASSERT_EQ(out.size(), 3u);
+    EXPECT_EQ(out[0]->connectionId, 7);
+    queue.drainAll(out);
+    EXPECT_EQ(out.size(), 4u);
+    EXPECT_EQ(queue.size(), 0u);
+    EXPECT_EQ(factory.liveJobs(), 4u);
+    out.clear();
+    EXPECT_EQ(factory.liveJobs(), 0u);
 }
 
 // ------------------------------------------------------------ EpollQueue
@@ -230,7 +273,7 @@ TEST(EpollQueue, TakesFirstNOfEachActiveSubqueue)
     for (int i = 0; i < 1; ++i)
         queue.push(makeJob(factory, 2));
     EXPECT_EQ(queue.activeSubqueues(), 2u);
-    const auto batch = queue.popBatch();
+    const auto batch = pop(queue);
     // First 2 of connection 1 plus the single job of connection 2.
     EXPECT_EQ(batch.size(), 3u);
     EXPECT_EQ(queue.size(), 1u);
@@ -246,10 +289,10 @@ TEST(EpollQueue, BlockedSubqueueIsInactive)
     queue.push(makeJob(factory, 1, other_root));
     connections.block(1, blocker->rootId);
     EXPECT_FALSE(queue.hasEligible());
-    EXPECT_TRUE(queue.popBatch().empty());
+    EXPECT_TRUE(pop(queue).empty());
     connections.unblock(1, blocker->rootId);
     EXPECT_TRUE(queue.hasEligible());
-    EXPECT_EQ(queue.popBatch().size(), 1u);
+    EXPECT_EQ(pop(queue).size(), 1u);
 }
 
 TEST(EpollQueue, BlockOwnerJobsRemainEligible)
@@ -265,7 +308,7 @@ TEST(EpollQueue, BlockOwnerJobsRemainEligible)
     queue.push(makeJob(factory, 1));  // a later, unrelated request
     connections.block(1, owner_root);
     EXPECT_TRUE(queue.hasEligible());
-    const auto batch = queue.popBatch();
+    const auto batch = pop(queue);
     ASSERT_EQ(batch.size(), 1u);
     EXPECT_EQ(batch[0]->rootId, owner_root);
     EXPECT_FALSE(queue.hasEligible());
@@ -279,7 +322,7 @@ TEST(EpollQueue, UnlimitedBatchDrainsSubqueues)
         for (int i = 0; i < 4; ++i)
             queue.push(makeJob(factory, c));
     }
-    EXPECT_EQ(queue.popBatch().size(), 12u);
+    EXPECT_EQ(pop(queue).size(), 12u);
 }
 
 // ----------------------------------------------------------- SocketQueue
@@ -293,10 +336,10 @@ TEST(SocketQueue, ServesOneConnectionAtATime)
         queue.push(makeJob(factory, 1));
     for (int i = 0; i < 2; ++i)
         queue.push(makeJob(factory, 2));
-    const auto first = queue.popBatch();
+    const auto first = pop(queue);
     ASSERT_EQ(first.size(), 3u);
     EXPECT_EQ(first[0]->connectionId, 1);
-    const auto second = queue.popBatch();
+    const auto second = pop(queue);
     ASSERT_EQ(second.size(), 2u);
     EXPECT_EQ(second[0]->connectionId, 2);
 }
@@ -309,10 +352,10 @@ TEST(SocketQueue, RoundRobinAcrossConnections)
         queue.push(makeJob(factory, 1));
         queue.push(makeJob(factory, 2));
     }
-    EXPECT_EQ(queue.popBatch()[0]->connectionId, 1);
-    EXPECT_EQ(queue.popBatch()[0]->connectionId, 2);
-    EXPECT_EQ(queue.popBatch()[0]->connectionId, 1);
-    EXPECT_EQ(queue.popBatch()[0]->connectionId, 2);
+    EXPECT_EQ(pop(queue)[0]->connectionId, 1);
+    EXPECT_EQ(pop(queue)[0]->connectionId, 2);
+    EXPECT_EQ(pop(queue)[0]->connectionId, 1);
+    EXPECT_EQ(pop(queue)[0]->connectionId, 2);
 }
 
 TEST(SocketQueue, SkipsBlockedConnections)
@@ -323,7 +366,7 @@ TEST(SocketQueue, SkipsBlockedConnections)
     queue.push(makeJob(factory, 1, 500));
     queue.push(makeJob(factory, 2, 600));
     connections.block(1, 42);  // some other request owns the block
-    const auto batch = queue.popBatch();
+    const auto batch = pop(queue);
     ASSERT_EQ(batch.size(), 1u);
     EXPECT_EQ(batch[0]->connectionId, 2);
 }
