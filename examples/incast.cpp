@@ -31,15 +31,16 @@ using namespace uqsim;
 
 namespace {
 
-RunReport
+void
 runOne(const ConfigBundle& bundle, const char* title)
 {
     auto simulation = Simulation::fromBundle(bundle);
     const RunReport report = simulation->run();
     std::printf("---- %s\n", title);
     std::cout << report.toString();
-    std::printf("\n");
-    return report;
+    std::printf("  trace digest  %016llx\n\n",
+                static_cast<unsigned long long>(
+                    simulation->sim().traceDigest()));
 }
 
 }  // namespace

@@ -59,6 +59,8 @@ class EventHandle {
     bool pending() const;
 
   private:
+    friend class EventQueue;  // retime() re-stamps the generation
+
     EventQueue* queue_ = nullptr;
     std::uint32_t slot_ = 0;
     std::uint32_t generation_ = 0;

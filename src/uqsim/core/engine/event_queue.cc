@@ -276,6 +276,15 @@ EventQueue::heapRemoveAt(std::size_t pos)
 }
 
 void
+EventQueue::heapMove(std::size_t pos, HeapEntry moving)
+{
+    if (pos > 0 && moving.before(heap_[(pos - 1) >> 2]))
+        siftUp(pos, moving);
+    else
+        siftDown(pos, moving);
+}
+
+void
 EventQueue::siftUp(std::size_t pos, HeapEntry moving)
 {
     while (pos > 0) {

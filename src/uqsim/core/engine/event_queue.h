@@ -17,7 +17,8 @@
  * sift-down-heavy pop/cancel mix.  Every slot stores its heap
  * position, so cancellation removes the entry in O(log n) instead
  * of the old lazy cancelled-flag purge; a cancelled slot is
- * recycled immediately.
+ * recycled immediately, and retime() re-keys a pending event with
+ * one sift.
  */
 
 #include <cstddef>
@@ -61,6 +62,35 @@ class EventQueue {
         s.label = label;
         heapPush(index, when, s.sequence);
         return EventHandle(this, index, s.generation);
+    }
+
+    /**
+     * Moves the pending event named by @p handle to fire at @p when,
+     * keeping its slot, action and label.  Observably identical to
+     * handle.cancel() followed by schedule() of the same action: the
+     * event takes the next sequence number and the slot's generation
+     * is bumped (cancel+schedule reuses the same slot, since the free
+     * list is LIFO), so the old handle goes stale and @p handle is
+     * re-stamped to name the moved event.  One sift instead of a
+     * remove plus a push, and no closure relocation.  Returns false,
+     * leaving everything untouched, when the event is not in the
+     * heap (already fired, cancelled, or currently firing); the
+     * caller then schedules afresh.
+     */
+    bool
+    retime(EventHandle& handle, SimTime when)
+    {
+        if (handle.queue_ != this)
+            return false;
+        Slot& s = *slotPtr(handle.slot_);
+        if (s.generation != handle.generation_ || s.heapIndex < 0)
+            return false;
+        s.when = when;
+        s.sequence = nextSequence_++;
+        handle.generation_ = ++s.generation;
+        heapMove(static_cast<std::size_t>(s.heapIndex),
+                 HeapEntry{when, s.sequence, handle.slot_});
+        return true;
     }
 
     /** True when no events remain. */
@@ -292,6 +322,8 @@ class EventQueue {
                   std::uint64_t sequence);
     void heapRemoveTop();
     void heapRemoveAt(std::size_t pos);
+    /** Re-keys the entry at @p pos to @p moving (same slot). */
+    void heapMove(std::size_t pos, HeapEntry moving);
     void siftUp(std::size_t pos, HeapEntry moving);
     void siftDown(std::size_t pos, HeapEntry moving);
 

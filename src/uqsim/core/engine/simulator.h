@@ -88,6 +88,21 @@ class Simulator {
     }
 
     /**
+     * Moves the pending event @p handle to fire @p delay after the
+     * current time (EventQueue::retime: same outcome as cancel plus
+     * scheduleAfter of the same action, without the re-insert).
+     * Returns false when the event is no longer pending; the caller
+     * then schedules a fresh one.
+     */
+    bool
+    retimeAfter(EventHandle& handle, SimTime delay)
+    {
+        if (delay < 0)
+            throwNegativeDelay();
+        return queue_.retime(handle, now_ + delay);
+    }
+
+    /**
      * Runs until the queue drains, time exceeds @p until, more than
      * @p max_events fire, or stop() is called.
      *

@@ -103,11 +103,12 @@ Disk::allocate()
         else
             ++writes;
     }
-    // Reschedule completions in operation-id order.  An operation
-    // whose rate did not change keeps its pending event: the
-    // remaining bytes shrank exactly in step with the old schedule,
-    // so the old finish time still holds (and skipping the
-    // reschedule avoids rounding drift).
+    // Move completions in operation-id order (a pending one is
+    // re-keyed in place, a new one scheduled).  An operation whose
+    // rate did not change keeps its pending event: the remaining
+    // bytes shrank exactly in step with the old schedule, so the old
+    // finish time still holds (and skipping the move avoids rounding
+    // drift).
     for (auto it = inService_.begin(); it != inService_.end(); ++it) {
         Op& op = it->second;
         const int sharing = op.kind == OpKind::Read ? reads : writes;
@@ -115,9 +116,10 @@ Disk::allocate()
         if (rate == op.rate && op.completion.pending())
             continue;
         op.rate = rate;
-        op.completion.cancel();
         const SimTime remaining =
             secondsToSimTime(op.remainingBytes / op.rate);
+        if (sim_.retimeAfter(op.completion, remaining))
+            continue;
         const std::uint64_t id = it->first;
         op.completion = sim_.scheduleAfter(
             remaining, [this, id]() { finishOp(id); }, "disk/op");

@@ -15,13 +15,13 @@
  * split per direction: rate = direction capacity / operations in
  * that direction.  The allocation is recomputed incrementally with
  * the same machinery as the flow-level network model — advance
- * in-flight bytes to now, recompute shares, and reschedule a
- * completion event only when its rate actually changed (skipping
- * the reschedule avoids rounding drift).  Operation bookkeeping
- * iterates in operation-id order (a std::map), never in hash order,
- * so floating-point accumulation is bit-reproducible and the
- * determinism contract (trace-digest equality across worker counts)
- * holds.
+ * in-flight bytes to now, recompute shares, and move a completion
+ * event in place (Simulator::retimeAfter) only when its rate actually
+ * changed (skipping the move avoids rounding drift).  Operation
+ * bookkeeping iterates in operation-id order (a std::map, one node
+ * allocated per operation), never in hash order, so floating-point
+ * accumulation is bit-reproducible and the determinism contract
+ * (trace-digest equality across worker counts) holds.
  *
  * When the configured queue depth is reached, further submissions
  * wait in a FIFO; each completion admits the head of the queue, so
@@ -134,8 +134,8 @@ class Disk {
      *  Call *before* mutating the operation table so the preceding
      *  interval is accounted under the old occupancy. */
     void advance();
-    /** Recomputes per-direction shares and reschedules completions
-     *  whose rate changed. */
+    /** Recomputes per-direction shares and moves completions whose
+     *  rate changed. */
     void allocate();
     void start(std::uint64_t id, Op op);
     void finishOp(std::uint64_t id);

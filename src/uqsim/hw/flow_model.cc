@@ -12,66 +12,85 @@
 namespace uqsim {
 namespace hw {
 
-std::vector<double>
-maxMinFairShares(const std::vector<double>& capacities,
-                 const std::vector<std::vector<int>>& paths)
+void
+MaxMinFill::run(const std::vector<double>& capacities,
+                const std::vector<const std::vector<int>*>& paths,
+                std::vector<double>& rates)
 {
-    std::vector<double> rates(paths.size(), 0.0);
-    std::vector<double> capLeft = capacities;
-    std::vector<int> flowsOn(capacities.size(), 0);
-    std::vector<bool> fixed(paths.size(), false);
-    std::size_t unfixed = 0;
-    for (std::size_t f = 0; f < paths.size(); ++f) {
-        if (paths[f].empty()) {
-            fixed[f] = true;  // consumes no link; rate stays 0
-            continue;
-        }
-        ++unfixed;
-        for (int l : paths[f])
-            ++flowsOn[static_cast<std::size_t>(l)];
+    if (flowsOn_.size() < capacities.size()) {
+        flowsOn_.resize(capacities.size(), 0);
+        capLeft_.resize(capacities.size());
     }
-    // Progressive filling: the tightest link's equal split is a rate
-    // no crossing flow can exceed, so those flows are fixed at it;
-    // remove them and repeat.  Ties break toward the lowest link
-    // index, keeping the arithmetic order deterministic.
-    while (unfixed > 0) {
+    rates.assign(paths.size(), 0.0);
+    used_.clear();
+    unfixed_.clear();
+    for (std::size_t f = 0; f < paths.size(); ++f) {
+        if (paths[f]->empty())
+            continue;  // consumes no link; rate stays 0
+        unfixed_.push_back(static_cast<std::uint32_t>(f));
+        for (int l : *paths[f]) {
+            const auto li = static_cast<std::size_t>(l);
+            if (flowsOn_[li]++ == 0) {
+                used_.push_back(li);
+                capLeft_[li] = capacities[li];
+            }
+        }
+    }
+    // The tightest link's equal split is a rate no crossing flow can
+    // exceed, so those flows are fixed at it; remove them and repeat.
+    // Every flow fixed in a round subtracts the same share, so the
+    // per-link arithmetic does not depend on the order flows are
+    // visited in, only on the (deterministic) bottleneck sequence.
+    while (!unfixed_.empty()) {
         double best = std::numeric_limits<double>::infinity();
         std::size_t bestLink = capacities.size();
-        for (std::size_t l = 0; l < capacities.size(); ++l) {
-            if (flowsOn[l] <= 0)
+        for (const std::size_t l : used_) {
+            if (flowsOn_[l] <= 0)
                 continue;
-            const double share = capLeft[l] / flowsOn[l];
-            if (share < best) {
+            const double share = capLeft_[l] / flowsOn_[l];
+            if (share < best || (share == best && l < bestLink)) {
                 best = share;
                 bestLink = l;
             }
         }
-        if (bestLink == capacities.size())
+        // Only infinite (or no) shares left: no link constrains the
+        // remaining flows, and they keep rate 0.
+        if (!(best < std::numeric_limits<double>::infinity()))
             break;
-        for (std::size_t f = 0; f < paths.size(); ++f) {
-            if (fixed[f])
+        const int bottleneck = static_cast<int>(bestLink);
+        std::size_t kept = 0;
+        for (const std::uint32_t f : unfixed_) {
+            const std::vector<int>& path = *paths[f];
+            if (std::find(path.begin(), path.end(), bottleneck) ==
+                path.end()) {
+                unfixed_[kept++] = f;
                 continue;
-            bool crosses = false;
-            for (int l : paths[f]) {
-                if (static_cast<std::size_t>(l) == bestLink) {
-                    crosses = true;
-                    break;
-                }
             }
-            if (!crosses)
-                continue;
-            fixed[f] = true;
-            --unfixed;
             rates[f] = best;
-            for (int l : paths[f]) {
+            for (int l : path) {
                 const auto li = static_cast<std::size_t>(l);
-                capLeft[li] -= best;
-                if (capLeft[li] < 0.0)
-                    capLeft[li] = 0.0;
-                --flowsOn[li];
+                capLeft_[li] -= best;
+                if (capLeft_[li] < 0.0)
+                    capLeft_[li] = 0.0;
+                --flowsOn_[li];
             }
         }
+        unfixed_.resize(kept);
     }
+    for (const std::size_t l : used_)
+        flowsOn_[l] = 0;
+}
+
+std::vector<double>
+maxMinFairShares(const std::vector<double>& capacities,
+                 const std::vector<std::vector<int>>& paths)
+{
+    std::vector<const std::vector<int>*> pathPtrs;
+    pathPtrs.reserve(paths.size());
+    for (const auto& path : paths)
+        pathPtrs.push_back(&path);
+    std::vector<double> rates;
+    MaxMinFill().run(capacities, pathPtrs, rates);
     return rates;
 }
 
@@ -109,6 +128,7 @@ FlowModel::addLink(const LinkSpec& spec)
     const int id = static_cast<int>(links_.size());
     links_.push_back(spec);
     linkStates_.emplace_back();
+    capacity_.push_back(spec.bytesPerSecond);
     linkIds_.emplace(spec.name, id);
     return id;
 }
@@ -215,22 +235,23 @@ FlowModel::setLinkDown(int id)
     ++downLinkCount_;
     failoverPicks_.clear();  // new outage epoch: re-decide failovers
     state.downSince = sim_ != nullptr ? sim_->now() : 0;
+    refreshCapacity(id);
     if (config_.onLinkDown == InFlightPolicy::Drop) {
-        // Collect first: dropMessage schedules events and the drop
+        // Split the crossing flows out first (keeping id order on
+        // both sides): dropMessage schedules events and the drop
         // callbacks must not observe a half-mutated flow table.
-        std::vector<std::uint64_t> doomed;
-        for (const auto& [fid, flow] : flows_) {
-            for (int l : *flow.path) {
-                if (l == id) {
-                    doomed.push_back(fid);
-                    break;
-                }
-            }
+        std::vector<std::uint32_t> doomed;
+        std::size_t kept = 0;
+        for (const std::uint32_t slot : order_) {
+            const std::vector<int>& path = *slots_[slot].path;
+            if (std::find(path.begin(), path.end(), id) != path.end())
+                doomed.push_back(slot);
+            else
+                order_[kept++] = slot;
         }
-        for (std::uint64_t fid : doomed) {
-            auto it = flows_.find(fid);
-            Flow flow = std::move(it->second);
-            flows_.erase(it);
+        order_.resize(kept);
+        for (const std::uint32_t slot : doomed) {
+            Flow flow = takeFlow(slot);
             flow.completion.cancel();
             ++state.drops;
             ++linkDrops_;
@@ -258,6 +279,7 @@ FlowModel::setLinkUp(int id)
         return;
     --downLinkCount_;
     failoverPicks_.clear();  // repaired: routes revert to primaries
+    refreshCapacity(id);
     if (sim_ != nullptr) {
         state.downSecondsTotal +=
             simTimeToSeconds(sim_->now() - state.downSince);
@@ -280,6 +302,7 @@ FlowModel::setLinkDegradation(int id, double capacityFactor,
     LinkState& state = linkStates_.at(static_cast<std::size_t>(id));
     state.capacityFactor = capacityFactor;
     state.latencyFactor = latencyFactor;
+    refreshCapacity(id);
     reshare();
 }
 
@@ -289,7 +312,21 @@ FlowModel::clearLinkDegradation(int id)
     LinkState& state = linkStates_.at(static_cast<std::size_t>(id));
     state.capacityFactor = 1.0;
     state.latencyFactor = 1.0;
+    refreshCapacity(id);
     reshare();
+}
+
+void
+FlowModel::refreshCapacity(int id)
+{
+    const auto l = static_cast<std::size_t>(id);
+    const LinkState& state = linkStates_[l];
+    // capacityFactor is exactly 1.0 outside degradation windows, so
+    // fault-free capacities are the spec's bytes/s bit for bit.
+    capacity_[l] = state.downCount > 0
+                       ? 0.0
+                       : links_[l].bytesPerSecond *
+                             state.capacityFactor;
 }
 
 bool
@@ -497,14 +534,26 @@ FlowModel::transit(const Machine* from, const Machine* to,
                             label);
         return;
     }
-    const std::uint64_t id = nextFlowId_++;
-    Flow& flow = flows_[id];
+    std::uint32_t slot;
+    if (freeSlots_.empty()) {
+        slot = static_cast<std::uint32_t>(slots_.size());
+        slots_.emplace_back();
+    } else {
+        slot = freeSlots_.back();
+        freeSlots_.pop_back();
+    }
+    Flow& flow = slots_[slot];
+    // A recycled slot must not leak its last flow's state: a stale
+    // rate would drain the new flow's bytes at the next advance.
+    flow = Flow{};
+    flow.id = nextFlowId_++;
     flow.path = path;
     flow.remainingBytes = static_cast<double>(bytes);
     flow.tailLatency = latency;
     flow.done = std::move(done);
     flow.dropped = std::move(dropped);
     flow.label = label;
+    order_.push_back(slot);  // ids only grow: order_ stays sorted
     ++started_;
     reshare();
 }
@@ -527,7 +576,8 @@ FlowModel::reshare()
     const SimTime now = sim_->now();
     if (now > lastUpdate_) {
         const double dt = simTimeToSeconds(now - lastUpdate_);
-        for (auto& [id, flow] : flows_) {
+        for (const std::uint32_t slot : order_) {
+            Flow& flow = slots_[slot];
             flow.remainingBytes -= flow.rate * dt;
             if (flow.remainingBytes < 0.0)
                 flow.remainingBytes = 0.0;
@@ -539,111 +589,57 @@ FlowModel::reshare()
     // Progressive filling over the active flows, in flow-id order.
     // A downed link contributes zero capacity (its flows stall at
     // rate 0 under the Stall policy; under Drop they were already
-    // removed); a degraded link its capacity scaled down.  Both
-    // factors are exactly 1.0 / count 0 outside fault windows, so the
-    // fault-free arithmetic is bit-identical.
-    capLeft_.resize(links_.size());
-    flowsOn_.assign(links_.size(), 0);
-    for (std::size_t l = 0; l < links_.size(); ++l) {
-        const LinkState& state = linkStates_[l];
-        capLeft_[l] = state.downCount > 0
-                          ? 0.0
-                          : links_[l].bytesPerSecond *
-                                state.capacityFactor;
-    }
-    active_.clear();
-    for (auto& [id, flow] : flows_) {
-        active_.push_back(&flow);
-        for (int l : *flow.path)
-            ++flowsOn_[static_cast<std::size_t>(l)];
-    }
-    std::vector<double> oldRates;
-    oldRates.reserve(active_.size());
-    for (Flow* flow : active_) {
-        oldRates.push_back(flow->rate);
-        flow->rate = -1.0;
-    }
-    std::size_t unfixed = active_.size();
-    while (unfixed > 0) {
-        double best = std::numeric_limits<double>::infinity();
-        std::size_t bestLink = links_.size();
-        for (std::size_t l = 0; l < links_.size(); ++l) {
-            if (flowsOn_[l] <= 0)
-                continue;
-            const double share = capLeft_[l] / flowsOn_[l];
-            if (share < best) {
-                best = share;
-                bestLink = l;
-            }
-        }
-        if (bestLink == links_.size())
-            break;
-        for (Flow* flow : active_) {
-            if (flow->rate >= 0.0)
-                continue;
-            bool crosses = false;
-            for (int l : *flow->path) {
-                if (static_cast<std::size_t>(l) == bestLink) {
-                    crosses = true;
-                    break;
-                }
-            }
-            if (!crosses)
-                continue;
-            flow->rate = best;
-            --unfixed;
-            for (int l : *flow->path) {
-                const auto li = static_cast<std::size_t>(l);
-                capLeft_[li] -= best;
-                if (capLeft_[li] < 0.0)
-                    capLeft_[li] = 0.0;
-                --flowsOn_[li];
-            }
-        }
-    }
-    // Flows left unfixed cross only zero-capacity (downed) links:
-    // pin them at rate 0 so they stall explicitly.
-    if (unfixed > 0) {
-        for (Flow* flow : active_) {
-            if (flow->rate < 0.0)
-                flow->rate = 0.0;
-        }
-    }
+    // removed); a degraded link its capacity scaled down.
+    paths_.clear();
+    for (const std::uint32_t slot : order_)
+        paths_.push_back(slots_[slot].path);
+    fill_.run(capacity_, paths_, rates_);
 
-    // Reschedule completions.  A flow whose rate did not change
-    // keeps its pending event: the remaining bytes shrank exactly in
-    // step with the old schedule, so the old finish time still
-    // holds (and skipping the reschedule avoids rounding drift).
-    std::size_t index = 0;
-    for (auto it = flows_.begin(); it != flows_.end(); ++it) {
-        Flow& flow = it->second;
-        const double oldRate = oldRates[index++];
-        if (flow.rate == oldRate && flow.completion.pending())
+    // Move completions.  A flow whose rate did not change keeps its
+    // pending event: the remaining bytes shrank exactly in step with
+    // the old schedule, so the old finish time still holds (and
+    // skipping the move avoids rounding drift).
+    for (std::size_t i = 0; i < order_.size(); ++i) {
+        const std::uint32_t slot = order_[i];
+        Flow& flow = slots_[slot];
+        const double rate = rates_[i];
+        if (rate == flow.rate && flow.completion.pending())
             continue;
-        flow.completion.cancel();
-        if (flow.rate <= 0.0 && flow.remainingBytes > 0.0) {
+        flow.rate = rate;
+        if (rate <= 0.0 && flow.remainingBytes > 0.0) {
             // Stalled across a dead link: no completion event until a
             // repair reshare gives it a positive rate again.
+            flow.completion.cancel();
             continue;
         }
         const SimTime remaining =
-            flow.rate > 0.0
-                ? secondsToSimTime(flow.remainingBytes / flow.rate)
-                : 0;
-        const std::uint64_t fid = it->first;
+            rate > 0.0 ? secondsToSimTime(flow.remainingBytes / rate)
+                       : 0;
+        if (sim_->retimeAfter(flow.completion, remaining))
+            continue;
+        const std::uint64_t id = flow.id;
         flow.completion = sim_->scheduleAfter(
-            remaining, [this, fid]() { finishFlow(fid); }, "net/flow");
+            remaining, [this, slot, id]() { finishFlow(slot, id); },
+            "net/flow");
     }
 }
 
-void
-FlowModel::finishFlow(std::uint64_t id)
+FlowModel::Flow
+FlowModel::takeFlow(std::uint32_t slot)
 {
-    auto it = flows_.find(id);
-    if (it == flows_.end())
+    Flow flow = std::move(slots_[slot]);
+    slots_[slot].path = nullptr;
+    freeSlots_.push_back(slot);
+    return flow;
+}
+
+void
+FlowModel::finishFlow(std::uint32_t slot, std::uint64_t id)
+{
+    if (slots_[slot].path == nullptr || slots_[slot].id != id)
         return;
-    Flow flow = std::move(it->second);
-    flows_.erase(it);
+    order_.erase(std::find(order_.begin(), order_.end(), slot));
+    Flow flow = takeFlow(slot);
     ++finished_;
     // Release the flow's share first, then pay the propagation tail:
     // the remaining flows speed up the moment the last byte leaves.
@@ -685,9 +681,9 @@ std::vector<double>
 FlowModel::activeFlowRates() const
 {
     std::vector<double> rates;
-    rates.reserve(flows_.size());
-    for (const auto& [id, flow] : flows_)
-        rates.push_back(flow.rate);
+    rates.reserve(order_.size());
+    for (const std::uint32_t slot : order_)
+        rates.push_back(slots_[slot].rate);
     return rates;
 }
 
@@ -705,14 +701,15 @@ FlowModel::visitState(snapshot::StateVisitor& visitor) const
     visitor.i64("last_update", lastUpdate_);
     visitor.i64("down_links", downLinkCount_);
     visitor.boolean("partition_active", partitionActive_);
-    visitor.u64("active_flows", flows_.size());
+    visitor.u64("active_flows", order_.size());
     visitor.u64("failover_picks", failoverPicks_.size());
 
     // Active flows in id order, per-link fault state, partition map,
     // and sticky failover picks.
     snapshot::Digest digest;
-    for (const auto& [id, flow] : flows_) {
-        digest.u64(id);
+    for (const std::uint32_t slot : order_) {
+        const Flow& flow = slots_[slot];
+        digest.u64(flow.id);
         digest.f64(flow.remainingBytes);
         digest.f64(flow.rate);
         digest.f64(flow.tailLatency);

@@ -8,11 +8,13 @@
  *
  * Each cross-machine message becomes a *flow* that occupies every
  * link on its route for the duration of its transmission.  Rates are
- * the max-min fair allocation (progressive filling) over all active
- * flows; the allocation is recomputed incrementally whenever a flow
- * starts or finishes, and each flow's completion event is
- * rescheduled only when its rate actually changed.  Delivery fires
- * one path latency after the last byte leaves the sender.
+ * the max-min fair allocation (progressive filling, MaxMinFill) over
+ * all active flows, visiting only the links they cross; the
+ * allocation is recomputed incrementally whenever a flow starts or
+ * finishes, and each flow's completion event is moved in place
+ * (Simulator::retimeAfter) only when its rate actually changed.
+ * Delivery fires one path latency after the last byte leaves the
+ * sender.
  *
  * Topology-granular faults (docs/ARCHITECTURE.md §failure handling):
  * every link carries up/down and degradation state.  A transition
@@ -32,12 +34,13 @@
  *
  * Everything advances through engine events ("net/flow" transmission
  * completions), so the determinism contract and the explorer's
- * same-timestamp choice points apply unchanged.  Flow bookkeeping
- * iterates in flow-id order (a std::map), never in hash order, to
- * keep floating-point accumulation bit-reproducible.  Fault-free
- * runs never touch the link-state branches: capacities and latencies
- * multiply by exactly 1.0, so digests stay bit-identical to builds
- * without fault support.
+ * same-timestamp choice points apply unchanged.  Flows live in
+ * slots recycled through a free list; every per-flow loop walks a
+ * dense vector of slot indices in flow-id order, never slot or hash
+ * order, to keep floating-point accumulation bit-reproducible.
+ * Fault-free runs never touch the link-state branches: capacities
+ * and latencies multiply by exactly 1.0, so digests stay
+ * bit-identical to builds without fault support.
  */
 
 #include <cstdint>
@@ -52,11 +55,44 @@ namespace uqsim {
 namespace hw {
 
 /**
- * Max-min fair allocation by progressive filling, exposed for unit
- * testing against closed-form cases.  @p capacities holds link
- * capacities (bytes/s); @p paths holds, per flow, the link indices
- * it crosses.  Returns one rate per flow.  Flows with empty paths
- * get an unbounded rate of 0 (they consume no link).
+ * Progressive filling, the max-min fair allocation kernel shared by
+ * FlowModel's re-share and maxMinFairShares().  Each round takes the
+ * link with the smallest equal split of its remaining capacity
+ * (ties go to the lowest link index), fixes every crossing flow at
+ * that share, and removes them.  Only links some flow crosses are
+ * visited, and the scratch is kept across calls, so a warm run()
+ * allocates nothing.
+ */
+class MaxMinFill {
+  public:
+    /**
+     * Writes one rate per flow into @p rates.  @p capacities holds
+     * every link's capacity (bytes/s); @p paths holds, per flow, the
+     * link indices it crosses.  Flows with empty paths, and flows
+     * whose links all have no finite share, get rate 0.
+     */
+    void run(const std::vector<double>& capacities,
+             const std::vector<const std::vector<int>*>& paths,
+             std::vector<double>& rates);
+
+  private:
+    /** Capacity left per link; valid only for links in used_. */
+    std::vector<double> capLeft_;
+    /** Unfixed flows per link; all zero between runs. */
+    std::vector<int> flowsOn_;
+    /** Links crossed by some flow, in first-crossing order. */
+    std::vector<std::size_t> used_;
+    /** Flows not yet fixed, in input order. */
+    std::vector<std::uint32_t> unfixed_;
+};
+
+/**
+ * Max-min fair allocation by progressive filling (MaxMinFill),
+ * exposed for unit testing against closed-form cases.
+ * @p capacities holds link capacities (bytes/s); @p paths holds,
+ * per flow, the link indices it crosses.  Returns one rate per
+ * flow.  Flows with empty paths get an unbounded rate of 0 (they
+ * consume no link).
  */
 std::vector<double> maxMinFairShares(
     const std::vector<double>& capacities,
@@ -218,7 +254,7 @@ class FlowModel final : public NetworkModel {
 
     std::uint64_t flowsStarted() const { return started_; }
     std::uint64_t flowsFinished() const { return finished_; }
-    std::size_t activeFlowCount() const { return flows_.size(); }
+    std::size_t activeFlowCount() const { return order_.size(); }
     /** Number of fair-share recomputations (flow starts+finishes). */
     std::uint64_t reshareCount() const { return reshares_; }
 
@@ -241,6 +277,8 @@ class FlowModel final : public NetworkModel {
 
   private:
     struct Flow {
+        std::uint64_t id = 0;
+        /** Route being transmitted over; nullptr marks a free slot. */
         const std::vector<int>* path = nullptr;
         double remainingBytes = 0.0;
         double rate = 0.0;
@@ -272,19 +310,29 @@ class FlowModel final : public NetworkModel {
     const std::vector<int>* pickSurvivingPath(
         const std::vector<std::vector<int>>& candidates);
     bool crossesPartition(int fromId, int toId) const;
+    /** Recomputes capacity_[id] from the link's fault state. */
+    void refreshCapacity(int id);
     double pathLatencySeconds(const std::vector<int>& path) const;
     void dropMessage(DropCallback dropped, DropReason reason,
                      const char* label);
     /** Advances in-flight flows to now, recomputes the max-min
-     *  allocation, and reschedules completions whose rate changed.
+     *  allocation, and moves completions whose rate changed.
      *  Stalled flows (rate 0, bytes left) keep no pending event. */
     void reshare();
-    void finishFlow(std::uint64_t id);
+    /** Fires at a flow's last byte; @p id guards against a slot
+     *  that was recycled since the event was scheduled. */
+    void finishFlow(std::uint32_t slot, std::uint64_t id);
+    /** Moves flow @p slot out and frees the slot; the caller removes
+     *  it from order_. */
+    Flow takeFlow(std::uint32_t slot);
 
     Config config_;
     Simulator* sim_ = nullptr;
     std::vector<LinkSpec> links_;
     std::vector<LinkState> linkStates_;
+    /** Effective capacity per link: 0 while down, else the spec's
+     *  bytes/s times the degradation factor. */
+    std::vector<double> capacity_;
     std::map<std::string, int> linkIds_;
     /** Candidate paths per (from, to) pair in failover order;
      *  index 0 is the primary. */
@@ -301,7 +349,13 @@ class FlowModel final : public NetworkModel {
     /** Partition group per net id; -1 = not in any group. */
     std::vector<int> partitionOf_;
 
-    std::map<std::uint64_t, Flow> flows_;
+    /** Flow storage; a slot index stays valid for its flow's
+     *  lifetime and is recycled through freeSlots_. */
+    std::vector<Flow> slots_;
+    std::vector<std::uint32_t> freeSlots_;
+    /** Active flows' slots in flow-id order; every per-flow loop
+     *  walks this, so floating-point work is id-ordered. */
+    std::vector<std::uint32_t> order_;
     std::uint64_t nextFlowId_ = 0;
     SimTime lastUpdate_ = 0;
     std::uint64_t started_ = 0;
@@ -312,9 +366,9 @@ class FlowModel final : public NetworkModel {
     std::uint64_t linkDrops_ = 0;
 
     // Scratch reused across reshare() / failover calls.
-    std::vector<double> capLeft_;
-    std::vector<int> flowsOn_;
-    std::vector<Flow*> active_;
+    MaxMinFill fill_;
+    std::vector<const std::vector<int>*> paths_;
+    std::vector<double> rates_;
     std::vector<const std::vector<int>*> survivorScratch_;
 
     /** Failover pick per (from, to) pair, sticky until the next

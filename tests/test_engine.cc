@@ -9,13 +9,17 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "uqsim/core/engine/event_queue.h"
 #include "uqsim/core/engine/inline_function.h"
 #include "uqsim/core/engine/simulator.h"
 #include "uqsim/random/rng.h"
+#include "uqsim/snapshot/snapshot.h"
 
 namespace uqsim {
 namespace {
@@ -316,6 +320,138 @@ TEST(EventQueue, RandomScheduleCancelMatchesSortedReference)
         EXPECT_EQ(fired[i], reference[i].id) << "at pop " << i;
 }
 
+/** Captures the integer fields of a queue's state walk by name. */
+class QueueFields final : public snapshot::StateVisitor {
+  public:
+    explicit QueueFields(const EventQueue& queue)
+    {
+        queue.visitState(*this);
+    }
+
+    void beginSection(snapshot::SectionId) override {}
+    void endSection() override {}
+    void
+    u64(const char* field, std::uint64_t value) override
+    {
+        values[qualified(field)] = value;
+    }
+    void i64(const char*, std::int64_t) override {}
+    void f64(const char*, double) override {}
+    void boolean(const char*, bool) override {}
+    void str(const char*, std::string_view) override {}
+
+    std::map<std::string, std::uint64_t> values;
+};
+
+TEST(EventQueue, RetimeMatchesCancelPlusSchedule)
+{
+    // Two queues driven by the same seeded mix of schedule, cancel,
+    // pop and re-key operations: `moved` re-keys with retime(), the
+    // reference with cancel() + schedule() of the same action.  Every
+    // observable must agree after every step: the popped (when,
+    // sequence, label) stream, the counters, and the snapshot walk
+    // (pending and generation digests included).
+    using Popped = std::tuple<SimTime, std::uint64_t, std::string>;
+    static const char* const kLabels[] = {"a", "b", "c"};
+    random::Rng rng(20261017);
+    EventQueue moved;
+    EventQueue reference;
+    std::vector<EventHandle> movedHandles;
+    std::vector<EventHandle> referenceHandles;
+    std::vector<const char*> labels;
+    std::vector<int> movedFired;
+    std::vector<int> referenceFired;
+    int retimed = 0;
+    int fellBack = 0;
+    const auto pick = [&rng](std::size_t n) {
+        return static_cast<std::size_t>(
+            rng.nextBounded(static_cast<std::uint64_t>(n)));
+    };
+    for (int step = 0; step < 4000; ++step) {
+        const std::uint64_t op = rng.nextBounded(100);
+        const auto when = static_cast<SimTime>(rng.nextBounded(3000));
+        if (op < 35 || labels.empty()) {
+            const int id = static_cast<int>(labels.size());
+            const char* label = kLabels[pick(3)];
+            labels.push_back(label);
+            // The firing event tries to re-key itself: retime() must
+            // refuse an event that is no longer in the heap.
+            movedHandles.push_back(moved.schedule(
+                when,
+                [&, id]() {
+                    movedFired.push_back(id);
+                    EXPECT_FALSE(moved.retime(
+                        movedHandles[static_cast<std::size_t>(id)],
+                        0));
+                },
+                label));
+            referenceHandles.push_back(reference.schedule(
+                when, [&, id]() { referenceFired.push_back(id); },
+                label));
+        } else if (op < 50) {
+            const std::size_t id = pick(labels.size());
+            EXPECT_EQ(movedHandles[id].cancel(),
+                      referenceHandles[id].cancel());
+        } else if (op < 70) {
+            EventQueue::FiredEvent a = moved.pop();
+            EventQueue::FiredEvent b = reference.pop();
+            ASSERT_EQ(static_cast<bool>(a), static_cast<bool>(b));
+            if (a) {
+                EXPECT_EQ(Popped(a.when(), a.sequence(), a.label()),
+                          Popped(b.when(), b.sequence(), b.label()))
+                    << "at step " << step;
+                a.invoke();
+                b.invoke();
+                ASSERT_EQ(movedFired, referenceFired);
+            }
+        } else {
+            const std::size_t id = pick(labels.size());
+            EventHandle before = movedHandles[id];
+            const bool wasPending = before.pending();
+            if (moved.retime(movedHandles[id], when)) {
+                ++retimed;
+                EXPECT_TRUE(wasPending);
+                EXPECT_FALSE(before.pending());
+                EXPECT_FALSE(before.cancel());
+                EXPECT_TRUE(movedHandles[id].pending());
+            } else {
+                // Not in the heap: the caller schedules afresh.
+                ++fellBack;
+                EXPECT_FALSE(wasPending);
+                const int copy = static_cast<int>(id);
+                movedHandles[id] = moved.schedule(
+                    when, [&, copy]() { movedFired.push_back(copy); },
+                    labels[id]);
+            }
+            referenceHandles[id].cancel();
+            const int copy = static_cast<int>(id);
+            referenceHandles[id] = reference.schedule(
+                when, [&, copy]() { referenceFired.push_back(copy); },
+                labels[id]);
+        }
+        ASSERT_EQ(moved.scheduledCount(), reference.scheduledCount());
+        ASSERT_EQ(moved.size(), reference.size());
+        ASSERT_EQ(moved.freeSlots(), reference.freeSlots());
+        ASSERT_EQ(QueueFields(moved).values,
+                  QueueFields(reference).values)
+            << "at step " << step;
+        ASSERT_TRUE(moved.auditCheck().empty()) << "at step " << step;
+        ASSERT_TRUE(reference.auditCheck().empty());
+    }
+    // The mix exercised both outcomes of retime().
+    EXPECT_GT(retimed, 500);
+    EXPECT_GT(fellBack, 100);
+    while (!moved.empty()) {
+        moved.pop().invoke();
+        reference.pop().invoke();
+    }
+    EXPECT_TRUE(reference.empty());
+    EXPECT_EQ(movedFired, referenceFired);
+    const QueueFields drained(moved);
+    EXPECT_EQ(drained.values.at("queue.pending"), 0u);
+    EXPECT_EQ(drained.values, QueueFields(reference).values);
+}
+
 TEST(EventQueue, MoveOnlyActionsAreSupported)
 {
     EventQueue queue;
@@ -416,6 +552,24 @@ TEST(Simulator, MakeStreamIsDeterministic)
     EXPECT_EQ(sa.nextU64(), sb.nextU64());
     auto other = a.makeStream("other");
     EXPECT_NE(sa.nextU64(), other.nextU64());
+}
+
+TEST(Simulator, RetimeAfterMovesPendingEvent)
+{
+    Simulator sim;
+    SimTime firedAt = -1;
+    EventHandle handle = sim.scheduleAfter(
+        100, [&]() { firedAt = sim.now(); }, "t");
+    sim.scheduleAfter(10, [&]() {
+        EXPECT_TRUE(sim.retimeAfter(handle, 5));
+        EXPECT_THROW(sim.retimeAfter(handle, -1), std::logic_error);
+    });
+    sim.run();
+    EXPECT_EQ(firedAt, 15);
+    // Fired: no longer pending, so the caller must schedule afresh.
+    EXPECT_FALSE(sim.retimeAfter(handle, 1));
+    EventHandle inert;
+    EXPECT_FALSE(sim.retimeAfter(inert, 1));
 }
 
 TEST(Simulator, CancelViaHandle)

@@ -10,6 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -20,12 +23,14 @@
 #include "uqsim/hw/topology.h"
 #include "uqsim/json/json_parser.h"
 #include "uqsim/models/applications.h"
+#include "uqsim/random/rng.h"
 #include "uqsim/runner/sweep_runner.h"
 
 namespace uqsim {
 namespace {
 
 using hw::Cluster;
+using hw::DropReason;
 using hw::FatTreeConfig;
 using hw::FlowModel;
 using hw::MachineConfig;
@@ -72,6 +77,168 @@ TEST(MaxMinFairShares, EmptyPathConsumesNothing)
     ASSERT_EQ(rates.size(), 2u);
     EXPECT_DOUBLE_EQ(rates[0], 0.0);
     EXPECT_DOUBLE_EQ(rates[1], 8.0);
+}
+
+/** The progressive-filling loop as it stood before MaxMinFill: every
+ *  link scanned each round, ties to the lowest index by scan order.
+ *  Kept verbatim as the bit-for-bit reference for the kernel. */
+std::vector<double>
+referenceMaxMinFairShares(const std::vector<double>& capacities,
+                          const std::vector<std::vector<int>>& paths)
+{
+    std::vector<double> rates(paths.size(), 0.0);
+    std::vector<double> capLeft = capacities;
+    std::vector<int> flowsOn(capacities.size(), 0);
+    std::vector<bool> fixed(paths.size(), false);
+    std::size_t unfixed = 0;
+    for (std::size_t f = 0; f < paths.size(); ++f) {
+        if (paths[f].empty()) {
+            fixed[f] = true;
+            continue;
+        }
+        ++unfixed;
+        for (int l : paths[f])
+            ++flowsOn[static_cast<std::size_t>(l)];
+    }
+    while (unfixed > 0) {
+        double best = std::numeric_limits<double>::infinity();
+        std::size_t bestLink = capacities.size();
+        for (std::size_t l = 0; l < capacities.size(); ++l) {
+            if (flowsOn[l] <= 0)
+                continue;
+            const double share = capLeft[l] / flowsOn[l];
+            if (share < best) {
+                best = share;
+                bestLink = l;
+            }
+        }
+        if (bestLink == capacities.size())
+            break;
+        for (std::size_t f = 0; f < paths.size(); ++f) {
+            if (fixed[f])
+                continue;
+            bool crosses = false;
+            for (int l : paths[f]) {
+                if (static_cast<std::size_t>(l) == bestLink) {
+                    crosses = true;
+                    break;
+                }
+            }
+            if (!crosses)
+                continue;
+            fixed[f] = true;
+            --unfixed;
+            rates[f] = best;
+            for (int l : paths[f]) {
+                const auto li = static_cast<std::size_t>(l);
+                capLeft[li] -= best;
+                if (capLeft[li] < 0.0)
+                    capLeft[li] = 0.0;
+                --flowsOn[li];
+            }
+        }
+    }
+    return rates;
+}
+
+std::vector<std::uint64_t>
+rateBits(const std::vector<double>& rates)
+{
+    std::vector<std::uint64_t> bits;
+    for (const double rate : rates)
+        bits.push_back(std::bit_cast<std::uint64_t>(rate));
+    return bits;
+}
+
+TEST(MaxMinFairShares, KernelMatchesReferenceBitForBit)
+{
+    // Seeded random instances in three families: capacities from a
+    // few small integers (exact share ties across links), real-valued
+    // capacities, and either with some links down (capacity 0).
+    // Every rate must equal the reference's to the last bit.
+    random::Rng rng(20261017);
+    const auto below = [&rng](int n) {
+        return static_cast<int>(
+            rng.nextBounded(static_cast<std::uint64_t>(n)));
+    };
+    int tiedInstances = 0;
+    int multiRound = 0;
+    int withDownLinks = 0;
+    for (int instance = 0; instance < 4000; ++instance) {
+        const int family = instance % 3;
+        const int links = 1 + below(12);
+        std::vector<double> capacities;
+        bool anyDown = false;
+        for (int l = 0; l < links; ++l) {
+            double cap = family == 1 ? 1e6 * (0.5 + rng.nextDouble())
+                                     : 1e6 * (1 + below(4));
+            if (family == 2 && below(4) == 0) {
+                cap = 0.0;
+                anyDown = true;
+            }
+            capacities.push_back(cap);
+        }
+        std::vector<std::vector<int>> paths(
+            static_cast<std::size_t>(below(17)));
+        for (auto& path : paths) {
+            // Distinct links in random order, as routes are.
+            for (int l = 0; l < links; ++l) {
+                if (below(3) == 0)
+                    path.push_back(l);
+            }
+            for (std::size_t i = path.size(); i > 1; --i) {
+                std::swap(path[i - 1],
+                          path[static_cast<std::size_t>(
+                              below(static_cast<int>(i)))]);
+            }
+        }
+        const std::vector<double> expected =
+            referenceMaxMinFairShares(capacities, paths);
+        ASSERT_EQ(rateBits(hw::maxMinFairShares(capacities, paths)),
+                  rateBits(expected))
+            << "instance " << instance;
+
+        std::vector<double> positive;
+        for (const double rate : expected) {
+            if (rate > 0.0)
+                positive.push_back(rate);
+        }
+        std::sort(positive.begin(), positive.end());
+        if (std::unique(positive.begin(), positive.end()) -
+                positive.begin() > 1)
+            ++multiRound;
+        std::vector<double> sorted = capacities;
+        std::sort(sorted.begin(), sorted.end());
+        if (family == 0 &&
+            std::adjacent_find(sorted.begin(), sorted.end()) !=
+                sorted.end())
+            ++tiedInstances;
+        if (anyDown && !paths.empty())
+            ++withDownLinks;
+    }
+    EXPECT_GT(tiedInstances, 500);
+    EXPECT_GT(multiRound, 1000);
+    EXPECT_GT(withDownLinks, 300);
+}
+
+TEST(MaxMinFairShares, EqualSharesBreakTowardLowestLink)
+{
+    // Link 0 (capacity 1, three flows) and link 1 (capacity 2, six
+    // flows) tie at share 1/3, and flow 0 crosses link 1 first.
+    // Which link is filled first shows in the last bit: the second
+    // link's leftover split rounds to 1/3 + 1 ulp.  Lowest index
+    // wins, so flows 1 and 2 get exactly 1/3.
+    const std::vector<double> capacities = {1.0, 2.0};
+    const std::vector<std::vector<int>> paths = {
+        {1, 0}, {0}, {0}, {1}, {1}, {1}, {1}, {1}};
+    const std::vector<double> rates =
+        hw::maxMinFairShares(capacities, paths);
+    EXPECT_EQ(rateBits(rates),
+              rateBits(referenceMaxMinFairShares(capacities, paths)));
+    const double third = 1.0 / 3.0;
+    EXPECT_EQ(rates[1], third);
+    EXPECT_EQ(rates[3], (2.0 - third) / 5);
+    EXPECT_NE(rates[3], third);
 }
 
 // --------------------------------------------------- FlowModel timing
@@ -248,6 +415,112 @@ TEST(FlowModel, SlowUplinkBoundsOnlyItsOwnFlow)
         EXPECT_NEAR(simTimeToSeconds(done_at[i]), kBytes / fast_share,
                     kBytes / fast_share * 0.05);
     }
+}
+
+TEST(FlowModel, RecycledFlowSlotStartsClean)
+{
+    // The second flow starts after the first finished, on another
+    // route, and takes its recycled slot.  It must finish at the
+    // closed form: nothing of the first flow's rate or completion may
+    // survive in the slot.
+    Simulator sim(1);
+    auto model = FlowModel::make();
+    FlowModel* flow_model = model.get();
+    const int ab = flow_model->addLink({"ab", 1e6, 10e-6});
+    const int cd = flow_model->addLink({"cd", 4e5, 30e-6});
+    flow_model->setRoute(0, 1, {ab});
+    flow_model->setRoute(2, 3, {cd});
+    Cluster cluster(sim, std::move(model));
+    hw::Machine& a = cluster.addMachine(bareMachine("a"));
+    hw::Machine& b = cluster.addMachine(bareMachine("b"));
+    hw::Machine& c = cluster.addMachine(bareMachine("c"));
+    hw::Machine& d = cluster.addMachine(bareMachine("d"));
+
+    SimTime first_done = -1;
+    SimTime second_done = -1;
+    const SimTime second_start = secondsToSimTime(0.75);
+    cluster.network().transfer(&a, &b, 500000,
+                               [&]() { first_done = sim.now(); });
+    sim.scheduleAt(
+        second_start,
+        [&]() {
+            cluster.network().transfer(
+                &c, &d, 200000, [&]() { second_done = sim.now(); });
+        },
+        "test/start");
+    sim.run();
+    EXPECT_EQ(first_done,
+              secondsToSimTime(0.5) + secondsToSimTime(10e-6));
+    EXPECT_EQ(second_done, second_start +
+                               secondsToSimTime(200000 / 4e5) +
+                               secondsToSimTime(30e-6));
+    EXPECT_EQ(flow_model->flowsFinished(), 2u);
+    EXPECT_EQ(flow_model->activeFlowCount(), 0u);
+}
+
+TEST(FlowModel, DroppingMiddleFlowLeavesSurvivorsExact)
+{
+    // Three flows share a receiver link; the middle one (by flow id)
+    // also crosses a link that dies at 0.25 s and is dropped.  The
+    // survivors run at a third of the receiver link, then at half,
+    // and finish at the closed form.
+    constexpr double kCap = 1.2e6;
+    constexpr double kBytes = 300000;
+    constexpr double kLatency = 10e-6;
+    Simulator sim(1);
+    auto model = FlowModel::make();  // default policy: Drop
+    FlowModel* flow_model = model.get();
+    const int down = flow_model->addLink({"down", kCap, kLatency});
+    const int up0 = flow_model->addLink({"up0", 1e9, 0.0});
+    const int mid = flow_model->addLink({"mid", 1e9, 0.0});
+    const int up2 = flow_model->addLink({"up2", 1e9, 0.0});
+    flow_model->setRoute(1, 0, {up0, down});
+    flow_model->setRoute(2, 0, {mid, down});
+    flow_model->setRoute(3, 0, {up2, down});
+    Cluster cluster(sim, std::move(model));
+    hw::Machine& recv = cluster.addMachine(bareMachine("recv"));
+    std::vector<hw::Machine*> senders;
+    for (int i = 0; i < 3; ++i) {
+        senders.push_back(&cluster.addMachine(
+            bareMachine("s" + std::to_string(i))));
+    }
+
+    std::vector<SimTime> done_at(3, -1);
+    int drops = 0;
+    DropReason reason = DropReason::FaultLoss;
+    sim.scheduleAt(
+        0,
+        [&]() {
+            for (int i = 0; i < 3; ++i) {
+                cluster.network().transfer(
+                    senders[static_cast<std::size_t>(i)], &recv,
+                    static_cast<std::uint32_t>(kBytes),
+                    [&, i]() {
+                        done_at[static_cast<std::size_t>(i)] = sim.now();
+                    },
+                    [&](DropReason r) {
+                        reason = r;
+                        ++drops;
+                    });
+            }
+        },
+        "test/start");
+    const SimTime down_at = secondsToSimTime(0.25);
+    sim.scheduleAt(down_at, [&]() { flow_model->setLinkDown(mid); },
+                   "test/down");
+    sim.run();
+
+    EXPECT_EQ(drops, 1);
+    EXPECT_EQ(reason, DropReason::LinkDown);
+    EXPECT_EQ(done_at[1], -1);
+    const double left = kBytes - kCap / 3 * 0.25;
+    const SimTime expected = down_at +
+                             secondsToSimTime(left / (kCap / 2)) +
+                             secondsToSimTime(kLatency);
+    EXPECT_EQ(done_at[0], expected);
+    EXPECT_EQ(done_at[2], expected);
+    EXPECT_EQ(flow_model->flowsFinished(), 2u);
+    EXPECT_EQ(flow_model->activeFlowCount(), 0u);
 }
 
 // ------------------------------------------- topology generator
