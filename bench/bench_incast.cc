@@ -105,7 +105,7 @@ runFlowChurn(int waves)
         for (int i = 0; i < kSenders; ++i) {
             cluster.network().transfer(
                 senders[i], &receiver, kBytes,
-                [&, pending, began, wave]() {
+                [&, pending, began, wave](uqsim::hw::Outcome) {
                     const double elapsed =
                         uqsim::simTimeToSeconds(sim.now() - began) -
                         2e-6;

@@ -27,9 +27,9 @@ anyFaults(const TierFaultStats& stats)
 
 /** Job-level failure reason matching a wire-level drop verdict. */
 fault::FailReason
-dropFailReason(hw::DropReason reason)
+dropFailReason(hw::Outcome reason)
 {
-    return reason == hw::DropReason::Unreachable
+    return reason == hw::Outcome::Unreachable
                ? fault::FailReason::Unreachable
                : fault::FailReason::NetworkLoss;
 }
@@ -46,9 +46,7 @@ Dispatcher::Dispatcher(Simulator& sim, hw::Network& network,
         [this](const std::string& service, const std::string& path) {
             return deployment_.model(service)->pathIdByName(path);
         });
-    tree_.resolveServiceIds([this](const std::string& service) {
-        return deployment_.names().intern(service);
-    });
+    tree_.resolveServiceIds(deployment_.names());
     for (MicroserviceInstance* instance : deployment_.allInstances()) {
         instance->setOnJobDone([this, instance](JobPtr job) {
             onNodeComplete(std::move(job), *instance);
@@ -81,6 +79,7 @@ Dispatcher::acquireRoot(std::size_t node_count)
     state->affinity.assign(deployment_.names().size(), nullptr);
     state->syncArrived.clear();
     state->hops.clear();
+    state->blocks.clear();
     // hopStates only grows; entries beyond this variant's node count
     // are disengaged and harmless.
     if (state->hopStates.size() < node_count)
@@ -115,6 +114,15 @@ Dispatcher::breakerTrips() const
 }
 
 std::size_t
+Dispatcher::pendingBlocks() const
+{
+    std::size_t pending = 0;
+    for (const auto& [root, state] : roots_)
+        pending += state->blocks.size();
+    return pending;
+}
+
+std::size_t
 Dispatcher::openBreakers() const
 {
     std::size_t open = 0;
@@ -131,16 +139,11 @@ Dispatcher::openBreakers() const
 SimTime
 Dispatcher::timerNudge(const char* label)
 {
-    Chooser* chooser = sim_.chooser();
-    if (chooser == nullptr)
+    const int pick = sim_.choose(ChoiceKind::TimerNudge, SIZE_MAX, label);
+    if (pick == 0)
         return 0;
-    const int cap = chooser->maxChoices(ChoiceKind::TimerNudge);
-    if (cap <= 1)
-        return 0;
-    const int pick =
-        chooser->choose(ChoiceKind::TimerNudge, cap, label);
     return static_cast<SimTime>(pick) *
-           chooser->jitterStep(ChoiceKind::TimerNudge);
+           sim_.chooser()->jitterStep(ChoiceKind::TimerNudge);
 }
 
 TierFaultStats&
@@ -292,27 +295,24 @@ Dispatcher::routeToNode(JobPtr job, int node_id,
             });
     }
     if (hop_it != state.hops.end()) {
-        const ForwardHop hop = *hop_it;
+        ConnectionPool* pool = hop_it->pool;
+        const ConnectionId conn = hop_it->conn;
         state.hops.erase(hop_it);
-        job->connectionId = hop.conn;
-        const JobId root = job->rootId;
+        job->connectionId = conn;
         const std::uint32_t bytes = job->bytes;
         network_.transfer(
             from != nullptr ? from->machine() : nullptr,
             target.machine(), bytes,
-            [this, job = std::move(job), node_id, t = &target,
-             hop]() mutable {
-                // Response received: the connection is free for the
-                // next request (HTTP/1.1 reuse).
-                hop.pool->release(hop.conn);
-                deliver(std::move(job), node_id, *t);
-            },
-            [this, root, hop](hw::DropReason reason) {
-                // Response lost in transit; the connection still
-                // frees (it was past the pool when the hop record
-                // was erased above).
-                hop.pool->release(hop.conn);
-                onEdgeDrop(root, reason, NameInterner::kNone);
+            [this, job = std::move(job), node_id, t = &target, pool,
+             conn](hw::Outcome outcome) mutable {
+                // Delivered or lost, the response is past the pool
+                // (its hop record was erased above): the connection
+                // is free for the next request (HTTP/1.1 reuse).
+                pool->release(conn);
+                if (outcome == hw::Outcome::Delivered)
+                    deliver(std::move(job), node_id, *t);
+                else
+                    onEdgeDrop(job->rootId, outcome, NameInterner::kNone);
             });
         return;
     }
@@ -343,15 +343,15 @@ void
 Dispatcher::sendFromClient(JobPtr job, int node_id,
                            MicroserviceInstance& target)
 {
-    const JobId root = job->rootId;
     const std::uint32_t bytes = job->bytes;
     network_.transfer(
         nullptr, target.machine(), bytes,
-        [this, job = std::move(job), node_id, t = &target]() mutable {
-            deliver(std::move(job), node_id, *t);
-        },
-        [this, root](hw::DropReason reason) {
-            onEdgeDrop(root, reason, NameInterner::kNone);
+        [this, job = std::move(job), node_id,
+         t = &target](hw::Outcome outcome) mutable {
+            if (outcome == hw::Outcome::Delivered)
+                deliver(std::move(job), node_id, *t);
+            else
+                onEdgeDrop(job->rootId, outcome, NameInterner::kNone);
         });
 }
 
@@ -361,16 +361,15 @@ Dispatcher::sendForward(JobPtr job, ConnectionId conn, int node_id,
                         MicroserviceInstance& target)
 {
     job->connectionId = conn;
-    const JobId root = job->rootId;
-    const JobId job_id = job->id;
     const std::uint32_t bytes = job->bytes;
     network_.transfer(
         from->machine(), target.machine(), bytes,
-        [this, job = std::move(job), node_id, t = &target]() mutable {
-            deliver(std::move(job), node_id, *t);
-        },
-        [this, root, job_id, node_id](hw::DropReason reason) {
-            onTransferDropped(root, job_id, node_id, reason);
+        [this, job = std::move(job), node_id,
+         t = &target](hw::Outcome outcome) mutable {
+            if (outcome == hw::Outcome::Delivered)
+                deliver(std::move(job), node_id, *t);
+            else
+                onTransferDropped(job->rootId, job->id, node_id, outcome);
         });
 }
 
@@ -407,8 +406,9 @@ Dispatcher::deliver(JobPtr job, int node_id, MicroserviceInstance& target)
     for (const PathNodeOp& op : node.onEnter) {
         if (op.kind == PathNodeOp::Kind::BlockConnection &&
             job->connectionId != kNoConnection) {
-            blocks_.block(job->rootId, target.connections(),
-                          job->connectionId, node.service);
+            target.connections().block(job->connectionId, job->rootId);
+            state.blocks.push_back(BlockRecord{
+                &target.connections(), job->connectionId, node.serviceId});
         }
     }
     target.accept(std::move(job));
@@ -466,7 +466,7 @@ Dispatcher::onNodeComplete(JobPtr job, MicroserviceInstance& inst)
     const PathNode& node = tree_.node(state.variant, job->pathNodeId);
     for (const PathNodeOp& op : node.onLeave) {
         if (op.kind == PathNodeOp::Kind::UnblockConnection)
-            blocks_.unblock(job->rootId, op.service);
+            unblock(state, job->rootId, &op);
     }
 
     if (node.children.empty()) {
@@ -503,16 +503,15 @@ Dispatcher::finishRequest(JobPtr job, MicroserviceInstance& last)
     const PathVariant& variant = tree_.variant(state.variant);
     if (++state.terminalsDone < variant.terminalCount)
         return;
-    const JobId root_id = job->rootId;
     const std::uint32_t bytes = job->bytes;
-    network_.transfer(last.machine(), nullptr, bytes,
-                      [this, job = std::move(job)]() mutable {
-                          completeAtClient(std::move(job));
-                      },
-                      [this, root_id](hw::DropReason reason) {
-                          onEdgeDrop(root_id, reason,
-                                     NameInterner::kNone);
-                      });
+    network_.transfer(
+        last.machine(), nullptr, bytes,
+        [this, job = std::move(job)](hw::Outcome outcome) mutable {
+            if (outcome == hw::Outcome::Delivered)
+                completeAtClient(std::move(job));
+            else
+                onEdgeDrop(job->rootId, outcome, NameInterner::kNone);
+        });
 }
 
 void
@@ -529,10 +528,9 @@ Dispatcher::completeAtClient(JobPtr job)
             hop.pool->release(hop.conn);
             ++leakedHops_;
         }
+        leakedBlocks_ += unblock(*state, job->rootId, nullptr);
         recycleRoot(std::move(state));
     }
-    leakedBlocks_ +=
-        static_cast<std::uint64_t>(blocks_.unblock(job->rootId, ""));
     ++completed_;
     if (tracer_ != nullptr)
         tracer_->recordComplete(*job, sim_.now());
@@ -797,7 +795,7 @@ Dispatcher::onJobFailed(JobPtr job, MicroserviceInstance& inst,
 
 void
 Dispatcher::onTransferDropped(JobId root, JobId job_id, int node_id,
-                              hw::DropReason reason)
+                              hw::Outcome reason)
 {
     if (deadJobs_.erase(job_id) > 0)
         return;
@@ -805,17 +803,17 @@ Dispatcher::onTransferDropped(JobId root, JobId job_id, int node_id,
     if (state == nullptr)
         return;
     const PathNode& node = tree_.node(state->variant, node_id);
-    if (reason == hw::DropReason::Unreachable)
+    if (reason == hw::Outcome::Unreachable)
         ++tierFault(node.serviceId).unreachable;
     failAttemptOrRequest(root, node_id, job_id, dropFailReason(reason),
                          node.serviceId);
 }
 
 void
-Dispatcher::onEdgeDrop(JobId root, hw::DropReason reason,
+Dispatcher::onEdgeDrop(JobId root, hw::Outcome reason,
                        std::uint32_t tier_id)
 {
-    if (reason == hw::DropReason::Unreachable) {
+    if (reason == hw::Outcome::Unreachable) {
         const RootState* state = findRoot(root);
         const std::uint32_t resolved =
             tier_id != NameInterner::kNone ? tier_id
@@ -906,6 +904,26 @@ Dispatcher::cancelHopEvents(RootState& state)
     }
 }
 
+std::size_t
+Dispatcher::unblock(RootState& state, JobId root, const PathNodeOp* op)
+{
+    std::size_t released = 0;
+    for (std::size_t i = 0; i < state.blocks.size();) {
+        const BlockRecord record = state.blocks[i];
+        if (op != nullptr && !op->unblocks(record.serviceId)) {
+            ++i;
+            continue;
+        }
+        // Erase first so the vector is consistent if the unblock
+        // callback re-enters the dispatcher.
+        state.blocks.erase(state.blocks.begin() +
+                           static_cast<std::ptrdiff_t>(i));
+        record.table->unblock(record.connection, root);
+        ++released;
+    }
+    return released;
+}
+
 void
 Dispatcher::decrementInflight(std::uint32_t front_id)
 {
@@ -930,7 +948,7 @@ Dispatcher::failRequest(JobId root, fault::FailReason reason,
     cancelHopEvents(*state);
     for (const ForwardHop& hop : state->hops)
         hop.pool->release(hop.conn);
-    blocks_.unblock(root, "");
+    unblock(*state, root, nullptr);
     decrementInflight(state->frontId);
     ++failed_;
     ++tierFault(tier_id == NameInterner::kNone ? state->frontId : tier_id)

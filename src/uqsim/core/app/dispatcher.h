@@ -127,7 +127,6 @@ class Dispatcher {
             tracer_->bindNames(&deployment_.names());
     }
 
-    BlockRegistry& blocks() { return blocks_; }
     JobFactory& jobs() { return jobs_; }
 
     std::uint64_t requestsStarted() const { return started_; }
@@ -142,6 +141,9 @@ class Dispatcher {
      *  breaker-recloses invariant checks this is zero post-run. */
     std::size_t openBreakers() const;
     std::size_t activeRequests() const { return roots_.size(); }
+    /** Connection blocks still held by active requests (leak
+     *  detection in tests). */
+    std::size_t pendingBlocks() const;
 
     /**
      * Per-tier failure counters accumulated so far, rendered to a
@@ -217,6 +219,15 @@ class Dispatcher {
         }
     };
 
+    /** One receive-side block a request took, undone by a matching
+     *  unblock op or when the request ends. */
+    struct BlockRecord {
+        ConnectionTable* table = nullptr;
+        ConnectionId connection = kNoConnection;
+        /** Interned id of the blocking node's service. */
+        std::uint32_t serviceId = 0xFFFFFFFFu;
+    };
+
     /** Per-(upstream, downstream) service-edge runtime state. */
     struct EdgeRuntime {
         std::unique_ptr<fault::CircuitBreaker> breaker;
@@ -243,6 +254,8 @@ class Dispatcher {
         std::vector<HopState> hopStates;
         /** Node ids with engaged hopStates entries (reset targets). */
         std::vector<int> engagedHops;
+        /** Connection blocks taken so far, oldest first. */
+        std::vector<BlockRecord> blocks;
         int terminalsDone = 0;
         int clientTag = -1;
         SimTime created = 0;
@@ -303,11 +316,11 @@ class Dispatcher {
     /** Message dropped in transit toward a managed hop: consumes a
      *  retry before failing the request. */
     void onTransferDropped(JobId root, JobId job_id, int node_id,
-                           hw::DropReason reason);
+                           hw::Outcome reason);
     /** Message dropped on an unmanaged edge (client legs, pooled
      *  response legs): fails the whole request, counting an
      *  unreachable verdict against the resolved tier. */
-    void onEdgeDrop(JobId root, hw::DropReason reason,
+    void onEdgeDrop(JobId root, hw::Outcome reason,
                     std::uint32_t tier_id);
     /**
      * Routes one attempt failure: consumes a retry, lets surviving
@@ -322,6 +335,10 @@ class Dispatcher {
     void failRequest(JobId root, fault::FailReason reason,
                      std::uint32_t tier_id);
     void cancelHopEvents(RootState& state);
+    /** Undoes @p state's blocks that @p op matches (nullptr: all of
+     *  them) on behalf of @p root; returns how many. */
+    std::size_t unblock(RootState& state, JobId root,
+                        const PathNodeOp* op);
     void decrementInflight(std::uint32_t front_id);
     /** Id-indexed fault counters, grown on demand. */
     TierFaultStats& tierFault(std::uint32_t tier_id);
@@ -339,7 +356,6 @@ class Dispatcher {
     /** Backoff jitter; only drawn when a retry policy asks for it. */
     random::RngStream retryRng_;
     JobFactory jobs_;
-    BlockRegistry blocks_;
     std::map<JobId, std::unique_ptr<RootState>> roots_;
     /** Finished RootStates awaiting reuse (capacity retained). */
     std::vector<std::unique_ptr<RootState>> rootPool_;

@@ -222,12 +222,17 @@ PathTree::resolveExecPaths(
 }
 
 void
-PathTree::resolveServiceIds(
-    const std::function<std::uint32_t(const std::string&)>& interner)
+PathTree::resolveServiceIds(NameInterner& names)
 {
     for (PathVariant& variant : variants_) {
         for (PathNode& node : variant.nodes)
-            node.serviceId = interner(node.service);
+            node.serviceId = names.intern(node.service);
+    }
+    for (PathVariant& variant : variants_) {
+        for (PathNode& node : variant.nodes) {
+            for (PathNodeOp& op : node.onLeave)
+                op.serviceId = names.find(op.service);
+        }
     }
 }
 

@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "uqsim/core/service/name_interner.h"
 #include "uqsim/json/json_value.h"
 #include "uqsim/random/rng.h"
 
@@ -42,6 +43,17 @@ struct PathNodeOp {
     Kind kind = Kind::BlockConnection;
     /** Service filter for UnblockConnection. */
     std::string service;
+    /** Interned id of `service` (resolveServiceIds); kNone when the
+     *  name was never interned, so it matches no block. */
+    std::uint32_t serviceId = NameInterner::kNone;
+
+    /** True when this unblock op releases a block taken at service
+     *  @p service_id. */
+    bool
+    unblocks(std::uint32_t service_id) const
+    {
+        return service.empty() || service_id == serviceId;
+    }
 
     static PathNodeOp fromJson(const json::JsonValue& doc);
 };
@@ -123,11 +135,11 @@ class PathTree {
             resolver);
 
     /**
-     * Resolves each node's service name to an interned id using
-     * @p interner(service), filling PathNode::serviceId.
+     * Interns each node's service name into @p names, filling
+     * PathNode::serviceId, then looks up each unblock op's service
+     * filter (PathNodeOp::serviceId) without interning it.
      */
-    void resolveServiceIds(
-        const std::function<std::uint32_t(const std::string&)>& interner);
+    void resolveServiceIds(NameInterner& names);
 
   private:
     std::vector<PathVariant> variants_;

@@ -1,5 +1,6 @@
 #include "uqsim/core/engine/simulator.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "uqsim/snapshot/snapshot.h"
@@ -95,22 +96,29 @@ Simulator::stateFingerprint() const
     return x;
 }
 
+int
+Simulator::choose(ChoiceKind kind, std::size_t options, const char* label)
+{
+    if (chooser_ == nullptr)
+        return 0;
+    const int cap = chooser_->maxChoices(kind);
+    if (cap < 2)
+        return 0;
+    options = std::min(options, static_cast<std::size_t>(cap));
+    if (options < 2)
+        return 0;
+    return chooser_->choose(kind, static_cast<int>(options), label);
+}
+
 EventQueue::FiredEvent
 Simulator::popChosen()
 {
+    // The cap bounds the tie scan; choose() applies it again.
     const int cap = chooser_->maxChoices(ChoiceKind::EventTie);
-    if (cap > 1) {
-        const std::size_t group =
-            queue_.tieGroupSize(static_cast<std::size_t>(cap));
-        if (group > 1) {
-            const int pick =
-                chooser_->choose(ChoiceKind::EventTie,
-                                 static_cast<int>(group),
-                                 "event-tie");
-            return queue_.popTie(static_cast<std::size_t>(pick));
-        }
-    }
-    return queue_.pop();
+    const std::size_t group =
+        cap > 1 ? queue_.tieGroupSize(static_cast<std::size_t>(cap)) : 0;
+    return queue_.popTie(static_cast<std::size_t>(
+        choose(ChoiceKind::EventTie, group, "event-tie")));
 }
 
 void

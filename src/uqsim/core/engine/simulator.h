@@ -13,6 +13,7 @@
  * events remain or a stop condition triggers.
  */
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -178,6 +179,14 @@ class Simulator {
             chooser_->attach(*this);
     }
     Chooser* chooser() const { return chooser_; }
+
+    /**
+     * One choice point of @p kind among @p options alternatives,
+     * capped at the attached chooser's maxChoices(@p kind).  Returns
+     * 0, the default, without consulting the chooser when none is
+     * attached or fewer than two options remain after the cap.
+     */
+    int choose(ChoiceKind kind, std::size_t options, const char* label);
 
     /**
      * Approximate state fingerprint for the explorer's revisit

@@ -53,51 +53,4 @@ ConnectionTable::unblock(ConnectionId id, JobId root)
         onUnblock_(id);
 }
 
-void
-BlockRegistry::block(JobId root, ConnectionTable& table,
-                     ConnectionId connection, const std::string& service)
-{
-    table.block(connection, root);
-    records_[root].push_back(BlockRecord{&table, connection, service});
-}
-
-int
-BlockRegistry::unblock(JobId root, const std::string& service)
-{
-    const auto it = records_.find(root);
-    if (it == records_.end())
-        return 0;
-    int released = 0;
-    std::vector<BlockRecord>& list = it->second;
-    for (std::size_t i = 0; i < list.size();) {
-        if (service.empty() || list[i].service == service) {
-            BlockRecord record = list[i];
-            list.erase(list.begin() + static_cast<std::ptrdiff_t>(i));
-            record.table->unblock(record.connection, root);
-            ++released;
-        } else {
-            ++i;
-        }
-    }
-    if (list.empty())
-        records_.erase(it);
-    return released;
-}
-
-std::size_t
-BlockRegistry::pendingFor(JobId root) const
-{
-    const auto it = records_.find(root);
-    return it == records_.end() ? 0 : it->second.size();
-}
-
-std::size_t
-BlockRegistry::totalPending() const
-{
-    std::size_t total = 0;
-    for (const auto& [root, list] : records_)
-        total += list.size();
-    return total;
-}
-
 }  // namespace uqsim

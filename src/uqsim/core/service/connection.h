@@ -11,7 +11,7 @@
  * blocked while a request is outstanding; epoll and socket queues
  * treat subqueues of blocked connections as inactive.
  *
- * The BlockRegistry records which connections each root request has
+ * The dispatcher records which connections each root request has
  * blocked, so a later path node (e.g. the webserver's response leg)
  * can find and unblock them by root job id — mirroring the paper's
  * "searches the list of job ids for the one matching the request
@@ -21,8 +21,6 @@
 #include <deque>
 #include <functional>
 #include <map>
-#include <string>
-#include <vector>
 
 #include "uqsim/core/service/job.h"
 
@@ -88,40 +86,6 @@ class ConnectionTable {
   private:
     std::map<ConnectionId, Connection> connections_;
     std::function<void(ConnectionId)> onUnblock_;
-};
-
-/** One recorded block, undone when the matching unblock op fires. */
-struct BlockRecord {
-    ConnectionTable* table = nullptr;
-    ConnectionId connection = kNoConnection;
-    /** Service at which the block was taken (ops can filter on it). */
-    std::string service;
-};
-
-/** Root-id indexed registry of outstanding connection blocks. */
-class BlockRegistry {
-  public:
-    BlockRegistry() = default;
-
-    /** Blocks @p connection in @p table and records it under @p root. */
-    void block(JobId root, ConnectionTable& table,
-               ConnectionId connection, const std::string& service);
-
-    /**
-     * Unblocks every connection recorded for @p root whose service
-     * matches @p service (empty string matches all).  Returns the
-     * number of connections unblocked.
-     */
-    int unblock(JobId root, const std::string& service);
-
-    /** Outstanding block count for @p root. */
-    std::size_t pendingFor(JobId root) const;
-
-    /** Total outstanding blocks (leak detection in tests). */
-    std::size_t totalPending() const;
-
-  private:
-    std::map<JobId, std::vector<BlockRecord>> records_;
 };
 
 }  // namespace uqsim

@@ -49,16 +49,11 @@ SimTime
 FaultScheduler::windowShift(const char* label,
                             double windowEndSeconds)
 {
-    Chooser* chooser = sim_.chooser();
-    if (chooser == nullptr)
+    const int pick = sim_.choose(ChoiceKind::FaultJitter, SIZE_MAX, label);
+    if (pick == 0)
         return 0;
-    const int cap = chooser->maxChoices(ChoiceKind::FaultJitter);
-    if (cap <= 1)
-        return 0;
-    const int pick =
-        chooser->choose(ChoiceKind::FaultJitter, cap, label);
     SimTime shift = static_cast<SimTime>(pick) *
-                    chooser->jitterStep(ChoiceKind::FaultJitter);
+                    sim_.chooser()->jitterStep(ChoiceKind::FaultJitter);
     // Clamp so the window's last scripted event never slides past
     // the horizon: a jittered window must stay observable inside the
     // run it perturbs.  Windows already at/past the horizon keep
@@ -76,7 +71,9 @@ FaultScheduler::start(double horizonSeconds)
     for (const FaultSpec& spec : plan_.faults) {
         // One onset-jitter choice per fault spec: every target of the
         // spec shifts together, keeping the branching factor tied to
-        // the plan size rather than the deployment size.
+        // the plan size rather than the deployment size.  Scripted
+        // windows clamp the shift by their last event.
+        const double end = std::max(spec.startSeconds, spec.endSeconds);
         switch (spec.kind) {
           case FaultSpec::Kind::Crash: {
             const SimTime shift = windowShift(
@@ -84,58 +81,63 @@ FaultScheduler::start(double horizonSeconds)
                 spec.stochastic()
                     ? 0.0
                     : std::max(spec.atSeconds, spec.recoverSeconds));
-            for (MicroserviceInstance* target : resolveTargets(spec)) {
-                if (spec.stochastic())
-                    scheduleStochasticCrash(*target, spec, shift);
-                else
-                    scheduleScriptedCrash(*target, spec, shift);
-            }
+            for (MicroserviceInstance* target : resolveTargets(spec))
+                scheduleCrash(*target, spec, shift);
             break;
           }
           case FaultSpec::Kind::Slow: {
-            const SimTime shift = windowShift(
-                "fault-window/slow",
-                std::max(spec.startSeconds, spec.endSeconds));
-            for (MicroserviceInstance* target : resolveTargets(spec))
-                scheduleSlowWindow(*target, spec, shift);
+            const SimTime shift = windowShift("fault-window/slow", end);
+            for (MicroserviceInstance* target : resolveTargets(spec)) {
+                scheduleWindow(
+                    spec.startSeconds, spec.endSeconds, shift,
+                    [target, factor = spec.factor]() {
+                        target->setSlowFactor(factor);
+                    },
+                    "fault/slow",
+                    [target]() { target->setSlowFactor(1.0); },
+                    "fault/slow-end");
+            }
             break;
           }
           case FaultSpec::Kind::Network:
-            scheduleNetworkWindow(
-                spec,
-                windowShift("fault-window/net",
-                            std::max(spec.startSeconds,
-                                     spec.endSeconds)));
+            scheduleWindow(
+                spec.startSeconds, spec.endSeconds,
+                windowShift("fault-window/net", end),
+                [this, extra = spec.extraLatencySeconds,
+                 loss = spec.lossProbability]() {
+                    network_.setDegradation(extra, loss);
+                },
+                "fault/net", [this]() { network_.clearDegradation(); },
+                "fault/net-end");
             break;
           case FaultSpec::Kind::LinkDown:
             scheduleLinkWindow(
-                spec,
-                windowShift("fault-window/link",
-                            spec.stochastic()
-                                ? 0.0
-                                : std::max(spec.startSeconds,
-                                           spec.endSeconds)));
+                spec, windowShift("fault-window/link",
+                                  spec.stochastic() ? 0.0 : end));
             break;
-          case FaultSpec::Kind::LinkDegraded:
-            scheduleLinkDegradedWindow(
-                spec,
-                windowShift("fault-window/link-degraded",
-                            std::max(spec.startSeconds,
-                                     spec.endSeconds)));
+          case FaultSpec::Kind::LinkDegraded: {
+            const SimTime shift =
+                windowShift("fault-window/link-degraded", end);
+            hw::FlowModel& flow = requireFlowModel("link_degraded");
+            const int linkId = resolveLinkId(flow, spec.link);
+            scheduleWindow(
+                spec.startSeconds, spec.endSeconds, shift,
+                [&flow, linkId, cap = spec.capacityFactor,
+                 lat = spec.latencyFactor]() {
+                    flow.setLinkDegradation(linkId, cap, lat);
+                },
+                "fault/link-degrade",
+                [&flow, linkId]() { flow.clearLinkDegradation(linkId); },
+                "fault/link-degrade-end");
             break;
+          }
           case FaultSpec::Kind::SwitchDown:
-            scheduleSwitchWindow(
-                spec,
-                windowShift("fault-window/switch",
-                            std::max(spec.startSeconds,
-                                     spec.endSeconds)));
+            scheduleSwitchWindow(spec,
+                                 windowShift("fault-window/switch", end));
             break;
           case FaultSpec::Kind::Partition:
             schedulePartitionWindow(
-                spec,
-                windowShift("fault-window/partition",
-                            std::max(spec.startSeconds,
-                                     spec.endSeconds)));
+                spec, windowShift("fault-window/partition", end));
             break;
         }
     }
@@ -175,92 +177,71 @@ FaultScheduler::resolveLinkId(hw::FlowModel& flow,
 }
 
 void
-FaultScheduler::scheduleScriptedCrash(MicroserviceInstance& target,
-                                      const FaultSpec& spec,
-                                      SimTime shift)
+FaultScheduler::scheduleWindow(double openSeconds, double closeSeconds,
+                               SimTime shift, EventAction open,
+                               const char* openLabel, EventAction close,
+                               const char* closeLabel)
 {
-    sim_.scheduleAt(
-        secondsToSimTime(spec.atSeconds) + shift,
-        [this, &target]() { crash(target); }, "fault/crash");
-    if (spec.recoverSeconds > 0.0) {
-        sim_.scheduleAt(
-            secondsToSimTime(spec.recoverSeconds) + shift,
-            [&target]() { target.recover(); }, "fault/recover");
+    sim_.scheduleAt(secondsToSimTime(openSeconds) + shift,
+                    std::move(open), openLabel);
+    if (closeSeconds > 0.0) {
+        sim_.scheduleAt(secondsToSimTime(closeSeconds) + shift,
+                        std::move(close), closeLabel);
     }
 }
 
 void
-FaultScheduler::scheduleStochasticCrash(MicroserviceInstance& target,
-                                        const FaultSpec& spec,
-                                        SimTime shift)
+FaultScheduler::startTimeline(const std::string& stream,
+                              const FaultSpec& spec, SimTime shift,
+                              std::function<void()> fail,
+                              const char* failLabel,
+                              std::function<void()> repair,
+                              const char* repairLabel)
 {
-    streams_.push_back(std::make_unique<random::RngStream>(
-        sim_.masterSeed(), "fault/" + target.name()));
-    random::Rng& rng = *streams_.back();
-    scheduleNextStochasticFailure(target, spec, rng, shift);
+    timelines_.push_back(std::make_unique<Timeline>(Timeline{
+        random::RngStream(sim_.masterSeed(), stream), spec,
+        std::move(fail), failLabel, std::move(repair), repairLabel}));
+    scheduleNextFailure(*timelines_.back(), shift);
 }
 
 void
-FaultScheduler::scheduleNextStochasticFailure(
-    MicroserviceInstance& target, const FaultSpec& spec,
-    random::Rng& rng, SimTime shift)
+FaultScheduler::scheduleNextFailure(Timeline& timeline, SimTime shift)
 {
     // Draw the whole (up, down) pair now so the stream's consumption
     // is a pure function of the failure count, then chain the next
-    // draw off the recovery event.  The jitter shift delays only the
+    // draw off the repair event.  The jitter shift delays only the
     // first failure of the timeline; the chain after it is relative,
     // so the whole timeline slides together.
-    const SimTime up = sampleExponential(rng, spec.mtbfSeconds);
-    const SimTime down = sampleExponential(rng, spec.mttrSeconds);
+    const SimTime up =
+        sampleExponential(timeline.rng, timeline.spec.mtbfSeconds);
+    const SimTime down =
+        sampleExponential(timeline.rng, timeline.spec.mttrSeconds);
     const SimTime failAt = sim_.now() + up + shift;
     if (failAt >= horizon_)
         return;
     sim_.scheduleAt(
-        failAt, [this, &target]() { crash(target); }, "fault/crash");
+        failAt, [&timeline]() { timeline.fail(); }, timeline.failLabel);
     sim_.scheduleAt(
         failAt + down,
-        [this, &target, &spec, &rng]() {
-            target.recover();
-            scheduleNextStochasticFailure(target, spec, rng, 0);
+        [this, &timeline]() {
+            timeline.repair();
+            scheduleNextFailure(timeline, 0);
         },
-        "fault/recover");
+        timeline.repairLabel);
 }
 
 void
-FaultScheduler::scheduleSlowWindow(MicroserviceInstance& target,
-                                   const FaultSpec& spec,
-                                   SimTime shift)
+FaultScheduler::scheduleCrash(MicroserviceInstance& target,
+                              const FaultSpec& spec, SimTime shift)
 {
-    sim_.scheduleAt(
-        secondsToSimTime(spec.startSeconds) + shift,
-        [&target, factor = spec.factor]() {
-            target.setSlowFactor(factor);
-        },
-        "fault/slow");
-    if (spec.endSeconds > 0.0) {
-        sim_.scheduleAt(
-            secondsToSimTime(spec.endSeconds) + shift,
-            [&target]() { target.setSlowFactor(1.0); },
-            "fault/slow-end");
-    }
-}
-
-void
-FaultScheduler::scheduleNetworkWindow(const FaultSpec& spec,
-                                      SimTime shift)
-{
-    sim_.scheduleAt(
-        secondsToSimTime(spec.startSeconds) + shift,
-        [this, extra = spec.extraLatencySeconds,
-         loss = spec.lossProbability]() {
-            network_.setDegradation(extra, loss);
-        },
-        "fault/net");
-    if (spec.endSeconds > 0.0) {
-        sim_.scheduleAt(
-            secondsToSimTime(spec.endSeconds) + shift,
-            [this]() { network_.clearDegradation(); },
-            "fault/net-end");
+    auto fail = [this, &target]() { crash(target); };
+    auto repair = [&target]() { target.recover(); };
+    if (spec.stochastic()) {
+        startTimeline("fault/" + target.name(), spec, shift, fail,
+                      "fault/crash", repair, "fault/recover");
+    } else {
+        scheduleWindow(spec.atSeconds, spec.recoverSeconds, shift, fail,
+                       "fault/crash", repair, "fault/recover");
     }
 }
 
@@ -270,77 +251,17 @@ FaultScheduler::scheduleLinkWindow(const FaultSpec& spec,
 {
     hw::FlowModel& flow = requireFlowModel("link_down");
     const int linkId = resolveLinkId(flow, spec.link);
+    auto down = [&flow, linkId]() { flow.setLinkDown(linkId); };
+    auto up = [&flow, linkId]() { flow.setLinkUp(linkId); };
     if (spec.stochastic()) {
-        scheduleStochasticLink(flow, linkId, spec, shift);
-        return;
+        // Per-link stream: adding (or removing) one link's timeline
+        // never perturbs any other stream's draws.
+        startTimeline("fault/link/" + spec.link, spec, shift, down,
+                      "fault/link-down", up, "fault/link-up");
+    } else {
+        scheduleWindow(spec.startSeconds, spec.endSeconds, shift, down,
+                       "fault/link-down", up, "fault/link-up");
     }
-    sim_.scheduleAt(
-        secondsToSimTime(spec.startSeconds) + shift,
-        [&flow, linkId]() { flow.setLinkDown(linkId); },
-        "fault/link-down");
-    sim_.scheduleAt(
-        secondsToSimTime(spec.endSeconds) + shift,
-        [&flow, linkId]() { flow.setLinkUp(linkId); },
-        "fault/link-up");
-}
-
-void
-FaultScheduler::scheduleStochasticLink(hw::FlowModel& flow,
-                                       int linkId,
-                                       const FaultSpec& spec,
-                                       SimTime shift)
-{
-    // Per-link stream: adding (or removing) one link's timeline
-    // never perturbs any other stream's draws.
-    streams_.push_back(std::make_unique<random::RngStream>(
-        sim_.masterSeed(), "fault/link/" + spec.link));
-    random::Rng& rng = *streams_.back();
-    scheduleNextLinkFailure(flow, linkId, spec, rng, shift);
-}
-
-void
-FaultScheduler::scheduleNextLinkFailure(hw::FlowModel& flow,
-                                        int linkId,
-                                        const FaultSpec& spec,
-                                        random::Rng& rng,
-                                        SimTime shift)
-{
-    // Same structure as the stochastic crash chain: draw the whole
-    // (up, down) pair now, chain the next draw off the repair.
-    const SimTime up = sampleExponential(rng, spec.mtbfSeconds);
-    const SimTime down = sampleExponential(rng, spec.mttrSeconds);
-    const SimTime failAt = sim_.now() + up + shift;
-    if (failAt >= horizon_)
-        return;
-    sim_.scheduleAt(
-        failAt, [&flow, linkId]() { flow.setLinkDown(linkId); },
-        "fault/link-down");
-    sim_.scheduleAt(
-        failAt + down,
-        [this, &flow, linkId, &spec, &rng]() {
-            flow.setLinkUp(linkId);
-            scheduleNextLinkFailure(flow, linkId, spec, rng, 0);
-        },
-        "fault/link-up");
-}
-
-void
-FaultScheduler::scheduleLinkDegradedWindow(const FaultSpec& spec,
-                                           SimTime shift)
-{
-    hw::FlowModel& flow = requireFlowModel("link_degraded");
-    const int linkId = resolveLinkId(flow, spec.link);
-    sim_.scheduleAt(
-        secondsToSimTime(spec.startSeconds) + shift,
-        [&flow, linkId, cap = spec.capacityFactor,
-         lat = spec.latencyFactor]() {
-            flow.setLinkDegradation(linkId, cap, lat);
-        },
-        "fault/link-degrade");
-    sim_.scheduleAt(
-        secondsToSimTime(spec.endSeconds) + shift,
-        [&flow, linkId]() { flow.clearLinkDegradation(linkId); },
-        "fault/link-degrade-end");
 }
 
 void
@@ -361,15 +282,13 @@ FaultScheduler::scheduleSwitchWindow(const FaultSpec& spec,
     // Copy the link set: the switch registry outlives the window,
     // but a value capture keeps the events self-contained.
     const std::vector<int> links = flow.switchLinks(spec.switchName);
-    sim_.scheduleAt(
-        secondsToSimTime(spec.startSeconds) + shift,
+    scheduleWindow(
+        spec.startSeconds, spec.endSeconds, shift,
         [&flow, links]() {
             for (int link : links)
                 flow.setLinkDown(link);
         },
-        "fault/switch-down");
-    sim_.scheduleAt(
-        secondsToSimTime(spec.endSeconds) + shift,
+        "fault/switch-down",
         [&flow, links]() {
             for (int link : links)
                 flow.setLinkUp(link);
@@ -394,13 +313,10 @@ FaultScheduler::schedulePartitionWindow(const FaultSpec& spec,
             ids.push_back(cluster.machine(name).netId());
         groups.push_back(std::move(ids));
     }
-    sim_.scheduleAt(
-        secondsToSimTime(spec.startSeconds) + shift,
+    scheduleWindow(
+        spec.startSeconds, spec.endSeconds, shift,
         [&flow, groups]() { flow.setPartition(groups); },
-        "fault/partition");
-    sim_.scheduleAt(
-        secondsToSimTime(spec.endSeconds) + shift,
-        [&flow]() { flow.clearPartition(); },
+        "fault/partition", [&flow]() { flow.clearPartition(); },
         "fault/partition-end");
 }
 
@@ -420,11 +336,11 @@ FaultScheduler::visitState(snapshot::StateVisitor& visitor) const
     visitor.u64("crashes", crashes_);
     visitor.i64("horizon", horizon_);
     visitor.u64("plan_size", plan_.faults.size());
-    visitor.u64("streams", streams_.size());
+    visitor.u64("streams", timelines_.size());
     snapshot::Digest streams;
-    for (const auto& stream : streams_) {
-        const random::Rng::State state = stream->state();
-        streams.str(stream->label());
+    for (const auto& timeline : timelines_) {
+        const random::Rng::State state = timeline->rng.state();
+        streams.str(timeline->rng.label());
         for (const std::uint64_t word : state.words)
             streams.u64(word);
         streams.boolean(state.hasSpareGaussian);

@@ -25,7 +25,9 @@
  */
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "uqsim/core/app/deployment.h"
@@ -90,28 +92,44 @@ class FaultScheduler {
     int resolveLinkId(hw::FlowModel& flow,
                       const std::string& name) const;
 
-    void scheduleScriptedCrash(MicroserviceInstance& target,
-                               const FaultSpec& spec, SimTime shift);
-    void scheduleStochasticCrash(MicroserviceInstance& target,
-                                 const FaultSpec& spec, SimTime shift);
-    void scheduleNextStochasticFailure(MicroserviceInstance& target,
-                                       const FaultSpec& spec,
-                                       random::Rng& rng,
-                                       SimTime shift);
-    void scheduleSlowWindow(MicroserviceInstance& target,
-                            const FaultSpec& spec, SimTime shift);
-    void scheduleNetworkWindow(const FaultSpec& spec, SimTime shift);
+    /**
+     * Schedules a scripted window: @p open at @p openSeconds and, when
+     * @p closeSeconds > 0, @p close at @p closeSeconds, both moved by
+     * @p shift.
+     */
+    void scheduleWindow(double openSeconds, double closeSeconds,
+                        SimTime shift, EventAction open,
+                        const char* openLabel, EventAction close,
+                        const char* closeLabel);
+
+    /** One stochastic up/down timeline: its own stream, the spec's
+     *  MTBF/MTTR, and the actions that fail and repair its target. */
+    struct Timeline {
+        random::RngStream rng;
+        const FaultSpec& spec;
+        std::function<void()> fail;
+        const char* failLabel;
+        std::function<void()> repair;
+        const char* repairLabel;
+    };
+
+    /** Starts a timeline drawing from stream @p stream; its first
+     *  failure is delayed by @p shift. */
+    void startTimeline(const std::string& stream, const FaultSpec& spec,
+                       SimTime shift, std::function<void()> fail,
+                       const char* failLabel,
+                       std::function<void()> repair,
+                       const char* repairLabel);
+    /** Draws the next (up, down) pair and schedules the failure and
+     *  the repair, which chains the following draw. */
+    void scheduleNextFailure(Timeline& timeline, SimTime shift);
+
+    /** Scripted (crash, recover) pair or stochastic crash timeline. */
+    void scheduleCrash(MicroserviceInstance& target,
+                       const FaultSpec& spec, SimTime shift);
     void scheduleLinkWindow(const FaultSpec& spec, SimTime shift);
-    void scheduleStochasticLink(hw::FlowModel& flow, int linkId,
-                                const FaultSpec& spec, SimTime shift);
-    void scheduleNextLinkFailure(hw::FlowModel& flow, int linkId,
-                                 const FaultSpec& spec,
-                                 random::Rng& rng, SimTime shift);
-    void scheduleLinkDegradedWindow(const FaultSpec& spec,
-                                    SimTime shift);
     void scheduleSwitchWindow(const FaultSpec& spec, SimTime shift);
     void schedulePartitionWindow(const FaultSpec& spec, SimTime shift);
-
     void crash(MicroserviceInstance& target);
 
     Simulator& sim_;
@@ -119,9 +137,9 @@ class FaultScheduler {
     hw::Network& network_;
     FaultPlan plan_;
     SimTime horizon_ = 0;
-    /** One stream per stochastic timeline; stable addresses for the
+    /** Stochastic timelines in plan order; stable addresses for the
      *  event chain. */
-    std::vector<std::unique_ptr<random::RngStream>> streams_;
+    std::vector<std::unique_ptr<Timeline>> timelines_;
     std::uint64_t crashes_ = 0;
 };
 

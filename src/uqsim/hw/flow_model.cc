@@ -255,7 +255,7 @@ FlowModel::setLinkDown(int id)
             flow.completion.cancel();
             ++state.drops;
             ++linkDrops_;
-            dropMessage(std::move(flow.dropped), DropReason::LinkDown,
+            dropMessage(std::move(flow.done), Outcome::LinkDown,
                         "net/link-drop");
         }
     }
@@ -439,21 +439,10 @@ FlowModel::pickSurvivingPath(
     }
     if (survivorScratch_.empty())
         return nullptr;
-    std::size_t pick = 0;
-    Chooser* chooser = sim_->chooser();
-    if (survivorScratch_.size() >= 2 && chooser != nullptr) {
-        const int cap = chooser->maxChoices(ChoiceKind::RouteFailover);
-        const int options = static_cast<int>(
-            std::min<std::size_t>(survivorScratch_.size(),
-                                  static_cast<std::size_t>(
-                                      cap > 0 ? cap : 0)));
-        if (options >= 2) {
-            pick = static_cast<std::size_t>(
-                chooser->choose(ChoiceKind::RouteFailover, options,
-                                "net/failover"));
-        }
-    }
-    return survivorScratch_[pick];
+    const int pick = sim_->choose(ChoiceKind::RouteFailover,
+                                  survivorScratch_.size(),
+                                  "net/failover");
+    return survivorScratch_[static_cast<std::size_t>(pick)];
 }
 
 double
@@ -472,26 +461,20 @@ FlowModel::pathLatencySeconds(const std::vector<int>& path) const
 }
 
 void
-FlowModel::dropMessage(DropCallback dropped, DropReason reason,
+FlowModel::dropMessage(OutcomeCallback done, Outcome reason,
                        const char* label)
 {
-    if (reason == DropReason::Unreachable)
+    if (reason == Outcome::Unreachable)
         ++unreachable_;
-    if (!dropped)
-        return;  // fire-and-forget send; nothing to notify
     // Deliver the verdict through the event queue so callers never
     // see their callback re-entered from inside transit().
-    sim_->scheduleAfter(
-        0,
-        [cb = std::move(dropped), reason]() mutable { cb(reason); },
-        label);
+    sim_->scheduleAfter(0, outcomeEvent(std::move(done), reason), label);
 }
 
 void
 FlowModel::transit(const Machine* from, const Machine* to,
                    std::uint32_t bytes, double extraLatencySeconds,
-                   Callback done, DropCallback dropped,
-                   const char* label)
+                   OutcomeCallback done, const char* label)
 {
     if (from == nullptr || to == nullptr) {
         // External legs (load generator) pay a constant latency and
@@ -499,12 +482,12 @@ FlowModel::transit(const Machine* from, const Machine* to,
         sim_->scheduleAfter(
             secondsToSimTime(config_.externalLatency +
                              extraLatencySeconds),
-            std::move(done), label);
+            outcomeEvent(std::move(done), Outcome::Delivered), label);
         return;
     }
     if (partitionActive_ &&
         crossesPartition(from->netId(), to->netId())) {
-        dropMessage(std::move(dropped), DropReason::Unreachable,
+        dropMessage(std::move(done), Outcome::Unreachable,
                     "net/unreachable");
         return;
     }
@@ -521,7 +504,7 @@ FlowModel::transit(const Machine* from, const Machine* to,
             failoverPicks_.emplace(key, path);
         }
         if (path == nullptr) {
-            dropMessage(std::move(dropped), DropReason::Unreachable,
+            dropMessage(std::move(done), Outcome::Unreachable,
                         "net/unreachable");
             return;
         }
@@ -530,8 +513,9 @@ FlowModel::transit(const Machine* from, const Machine* to,
     const double latency =
         extraLatencySeconds + pathLatencySeconds(*path);
     if (bytes == 0 || path->empty()) {
-        sim_->scheduleAfter(secondsToSimTime(latency), std::move(done),
-                            label);
+        sim_->scheduleAfter(
+            secondsToSimTime(latency),
+            outcomeEvent(std::move(done), Outcome::Delivered), label);
         return;
     }
     std::uint32_t slot;
@@ -551,7 +535,6 @@ FlowModel::transit(const Machine* from, const Machine* to,
     flow.remainingBytes = static_cast<double>(bytes);
     flow.tailLatency = latency;
     flow.done = std::move(done);
-    flow.dropped = std::move(dropped);
     flow.label = label;
     order_.push_back(slot);  // ids only grow: order_ stays sorted
     ++started_;
@@ -644,8 +627,10 @@ FlowModel::finishFlow(std::uint32_t slot, std::uint64_t id)
     // Release the flow's share first, then pay the propagation tail:
     // the remaining flows speed up the moment the last byte leaves.
     reshare();
-    sim_->scheduleAfter(secondsToSimTime(flow.tailLatency),
-                        std::move(flow.done), flow.label);
+    sim_->scheduleAfter(
+        secondsToSimTime(flow.tailLatency),
+        outcomeEvent(std::move(flow.done), Outcome::Delivered),
+        flow.label);
 }
 
 double

@@ -24,10 +24,10 @@
  * primary route crosses a dead link *fail over* deterministically to
  * the first all-up backup route (installed in fixed candidate
  * order); when no candidate survives, or a partition separates the
- * endpoints, the transfer gets an *unreachable* verdict (the drop
- * callback fires with DropReason::Unreachable).  Flows already in
+ * endpoints, the transfer gets an *unreachable* verdict (its
+ * callback fires with Outcome::Unreachable).  Flows already in
  * flight across a link that dies follow the configured in-flight
- * policy: Drop (callback fires with DropReason::LinkDown, feeding
+ * policy: Drop (callback fires with Outcome::LinkDown, feeding
  * the dispatcher's retry/timeout machinery) or Stall (rate pinned to
  * zero until the link repairs; progressive filling does this
  * naturally).
@@ -103,8 +103,8 @@ class FlowModel final : public NetworkModel {
   public:
     /** What happens to flows in flight across a link that dies. */
     enum class InFlightPolicy {
-        /** Drop the flow; its drop callback fires with
-         *  DropReason::LinkDown (default — feeds the dispatcher's
+        /** Drop the flow; its callback fires with
+         *  Outcome::LinkDown (default — feeds the dispatcher's
          *  timeout/retry/breaker machinery). */
         Drop,
         /** Keep the flow at rate zero until the link repairs; the
@@ -238,8 +238,7 @@ class FlowModel final : public NetworkModel {
     void onMachineAdded(const Machine& machine) override;
     void transit(const Machine* from, const Machine* to,
                  std::uint32_t bytes, double extraLatencySeconds,
-                 Callback done, DropCallback dropped,
-                 const char* label) override;
+                 OutcomeCallback done, const char* label) override;
     void loopback(const Machine* machine, std::uint32_t bytes,
                   double extraLatencySeconds, Callback done,
                   const char* label) override;
@@ -285,8 +284,7 @@ class FlowModel final : public NetworkModel {
         /** Propagation latency + fault-window extra, paid after the
          *  last byte is transmitted. */
         double tailLatency = 0.0;
-        Callback done;
-        DropCallback dropped;
+        OutcomeCallback done;
         const char* label = "net/flow";
         EventHandle completion;
     };
@@ -313,7 +311,8 @@ class FlowModel final : public NetworkModel {
     /** Recomputes capacity_[id] from the link's fault state. */
     void refreshCapacity(int id);
     double pathLatencySeconds(const std::vector<int>& path) const;
-    void dropMessage(DropCallback dropped, DropReason reason,
+    /** Reports @p reason to @p done from a zero-delay event. */
+    void dropMessage(OutcomeCallback done, Outcome reason,
                      const char* label);
     /** Advances in-flight flows to now, recomputes the max-min
      *  allocation, and moves completions whose rate changed.

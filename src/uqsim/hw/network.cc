@@ -34,7 +34,7 @@ Network::clearDegradation()
 
 void
 Network::transfer(Machine* from, Machine* to, std::uint32_t bytes,
-                  Callback done, DropCallback dropped)
+                  OutcomeCallback done)
 {
     ++transfers_;
     // Decide loss and latency at send time: a window that closes
@@ -42,84 +42,81 @@ Network::transfer(Machine* from, Machine* to, std::uint32_t bytes,
     const double extra = degraded_ ? extraLatency_ : 0.0;
     const bool lost = degraded_ && lossProb_ > 0.0 &&
                       faultRng_.nextBool(lossProb_);
+    std::uint32_t slot;
+    if (freeMessages_.empty()) {
+        slot = static_cast<std::uint32_t>(messages_.size());
+        messages_.emplace_back();
+    } else {
+        slot = freeMessages_.back();
+        freeMessages_.pop_back();
+    }
+    messages_[slot] = Message{std::move(done), from, to, bytes, extra,
+                              false};
     if (from != nullptr && from == to) {
         // Loopback: single pass through the local IRQ service.  The
         // kernel loopback path cannot lose messages, but a degraded
         // host still adds latency.
         model_->loopback(
-            from, bytes, extra,
-            [this, to, bytes, cb = std::move(done)]() mutable {
-                deliver(to, bytes, std::move(cb));
-            },
+            from, bytes, extra, [this, slot]() { receive(slot); },
             "net/loopback");
         return;
     }
     if (lost) {
-        ++dropped_;
         // The sender still pays TX IRQ work and the message occupies
-        // the wire before vanishing.  The wire leg itself may also
-        // fail (dead link, unreachable); the model guarantees exactly
-        // one of its callbacks fires, and either one reports the drop
-        // with the reason that actually happened.
-        std::uint32_t slot;
-        if (freeLost_.empty()) {
-            slot = static_cast<std::uint32_t>(lost_.size());
-            lost_.emplace_back();
-        } else {
-            slot = freeLost_.back();
-            freeLost_.pop_back();
-        }
-        lost_[slot] = LostMessage{std::move(done), std::move(dropped)};
-        auto after_tx = [this, from, to, bytes, extra, slot]() {
-            model_->transit(
-                from, to, bytes, extra,
-                [this, slot]() { dropLost(slot, DropReason::FaultLoss); },
-                [this, slot](DropReason reason) {
-                    dropLost(slot, reason);
-                },
-                "net/drop");
-        };
-        if (from != nullptr && from->irq() != nullptr) {
-            from->irq()->process(bytes, std::move(after_tx));
-        } else {
-            after_tx();
-        }
-        return;
+        // the wire before vanishing.
+        ++dropped_;
+        messages_[slot].faultLost = true;
     }
-    auto after_tx = [this, from, to, bytes, extra,
-                     cb = std::move(done),
-                     drop = std::move(dropped)]() mutable {
-        model_->transit(
-            from, to, bytes, extra,
-            [this, to, bytes, cb2 = std::move(cb)]() mutable {
-                deliver(to, bytes, std::move(cb2));
-            },
-            std::move(drop), "net/wire");
-    };
-    if (from != nullptr && from->irq() != nullptr) {
-        from->irq()->process(bytes, std::move(after_tx));
+    if (from != nullptr && from->irq() != nullptr)
+        from->irq()->process(bytes, [this, slot]() { sendWire(slot); });
+    else
+        sendWire(slot);
+}
+
+void
+Network::sendWire(std::uint32_t slot)
+{
+    const Message& message = messages_[slot];
+    model_->transit(
+        message.from, message.to, message.bytes, message.extraLatency,
+        [this, slot](Outcome outcome) { onWire(slot, outcome); },
+        message.faultLost ? "net/drop" : "net/wire");
+}
+
+void
+Network::onWire(std::uint32_t slot, Outcome outcome)
+{
+    // A fault-lost message reports the wire's own verdict if the
+    // model dropped it first, else the coin flip.
+    if (outcome == Outcome::Delivered && messages_[slot].faultLost)
+        outcome = Outcome::FaultLoss;
+    if (outcome == Outcome::Delivered)
+        receive(slot);
+    else
+        finish(slot, outcome);
+}
+
+void
+Network::receive(std::uint32_t slot)
+{
+    const Message& message = messages_[slot];
+    if (message.to != nullptr && message.to->irq() != nullptr) {
+        message.to->irq()->process(message.bytes, [this, slot]() {
+            finish(slot, Outcome::Delivered);
+        });
     } else {
-        after_tx();
+        finish(slot, Outcome::Delivered);
     }
 }
 
 void
-Network::dropLost(std::uint32_t slot, DropReason reason)
+Network::finish(std::uint32_t slot, Outcome outcome)
 {
-    LostMessage message = std::move(lost_[slot]);
-    freeLost_.push_back(slot);
-    if (message.dropped)
-        message.dropped(reason);
-}
-
-void
-Network::deliver(Machine* to, std::uint32_t bytes, Callback done)
-{
-    if (to != nullptr && to->irq() != nullptr) {
-        to->irq()->process(bytes, std::move(done));
-    } else if (done) {
-        done();
-    }
+    // Free the slot first: the callback may send again and reuse it.
+    OutcomeCallback done = std::move(messages_[slot].done);
+    freeMessages_.push_back(slot);
+    if (done)
+        done(outcome);
 }
 
 void

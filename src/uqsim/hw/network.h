@@ -19,12 +19,19 @@
  * FlowModel (flow_model.h) adds routed links with max-min fair
  * bandwidth sharing.
  *
+ * Each message in flight lives in one façade slot (callback,
+ * endpoints, bytes, fault-loss flag); the IRQ and wire legs capture
+ * only the slot index, and the slot is freed when its single
+ * OutcomeCallback fires.
+ *
  * A FaultScheduler may open a degradation window: every transfer
  * then pays extra wire latency, and cross-machine messages are lost
- * with a configured probability (the @p dropped callback fires
- * instead of delivery).  Loss coin flips come from a seed-split
- * stream that is only drawn inside a window, so fault-free runs are
- * bitwise identical to builds without fault support.
+ * with a configured probability.  A lost message still pays TX IRQ
+ * work and occupies the wire; its callback then fires with
+ * Outcome::FaultLoss (or with the wire's own verdict, if the model
+ * dropped it first).  Loss coin flips come from a seed-split stream
+ * that is only drawn inside a window, so fault-free runs are bitwise
+ * identical to builds without fault support.
  */
 
 #include <cstdint>
@@ -47,17 +54,17 @@ class Network {
     Network(Simulator& sim, std::unique_ptr<NetworkModel> model);
 
     /**
-     * Moves a message of @p bytes from @p from to @p to, then calls
-     * @p done.  Either endpoint may be nullptr, meaning "outside the
-     * cluster" (e.g. the client); that leg then only pays wire
-     * latency.  When the message is lost — a degradation-window coin
-     * flip here in the façade, or a model-level verdict (dead link,
-     * no surviving route, partition) — @p dropped fires exactly once
-     * instead of @p done, carrying the DropReason (or the message
-     * silently vanishes when no @p dropped is given).
+     * Moves a message of @p bytes from @p from to @p to and calls
+     * @p done exactly once, from an engine event, with its Outcome:
+     * Delivered after the receiver's RX IRQ work, or the reason it
+     * was lost (a degradation-window coin flip here in the façade,
+     * or a model verdict: dead link, no surviving route, partition).
+     * Either endpoint may be nullptr, meaning "outside the cluster"
+     * (e.g. the client); that leg then only pays wire latency.  An
+     * empty @p done sends fire-and-forget.
      */
     void transfer(Machine* from, Machine* to, std::uint32_t bytes,
-                  Callback done, DropCallback dropped = {});
+                  OutcomeCallback done);
 
     /** Opens a degradation window: adds @p extraLatencySeconds to
      *  every transfer and loses cross-machine messages with
@@ -81,17 +88,27 @@ class Network {
     void visitState(snapshot::StateVisitor& visitor) const;
 
   private:
-    void deliver(Machine* to, std::uint32_t bytes, Callback done);
-    /** Fires and frees lost-message slot @p slot. */
-    void dropLost(std::uint32_t slot, DropReason reason);
-
-    /** A message lost to the degradation coin flip.  Its delivery
-     *  callback never runs; the slot keeps it (and the job it owns)
-     *  alive until the drop verdict fires. */
-    struct LostMessage {
-        Callback done;
-        DropCallback dropped;
+    /** One message in flight. */
+    struct Message {
+        OutcomeCallback done;
+        Machine* from = nullptr;
+        Machine* to = nullptr;
+        std::uint32_t bytes = 0;
+        /** Fault-window latency, decided at send time. */
+        double extraLatency = 0.0;
+        /** Lost to the degradation coin flip: the wire leg runs, but
+         *  delivery reports Outcome::FaultLoss. */
+        bool faultLost = false;
     };
+
+    /** Starts the wire leg of @p slot (after TX IRQ work). */
+    void sendWire(std::uint32_t slot);
+    /** The wire leg of @p slot ended with @p outcome. */
+    void onWire(std::uint32_t slot, Outcome outcome);
+    /** Passes @p slot through the receiver's RX IRQ work. */
+    void receive(std::uint32_t slot);
+    /** Frees @p slot and reports @p outcome to its callback. */
+    void finish(std::uint32_t slot, Outcome outcome);
 
     Simulator& sim_;
     std::unique_ptr<NetworkModel> model_;
@@ -101,10 +118,10 @@ class Network {
     double lossProb_ = 0.0;
     std::uint64_t dropped_ = 0;
     random::RngStream faultRng_;
-    /** Lost messages in flight, indexed by slot; the model's two
-     *  callbacks both capture the slot index. */
-    std::vector<LostMessage> lost_;
-    std::vector<std::uint32_t> freeLost_;
+    /** Messages in flight, indexed by slot; freed slots are reused
+     *  through freeMessages_. */
+    std::vector<Message> messages_;
+    std::vector<std::uint32_t> freeMessages_;
 };
 
 }  // namespace hw

@@ -8,20 +8,6 @@
 namespace uqsim {
 namespace hw {
 
-const char*
-dropReasonName(DropReason reason)
-{
-    switch (reason) {
-      case DropReason::FaultLoss:
-        return "fault_loss";
-      case DropReason::LinkDown:
-        return "link_down";
-      case DropReason::Unreachable:
-        return "unreachable";
-    }
-    return "unknown";
-}
-
 void
 NetworkModel::onMachineAdded(const Machine& machine)
 {
@@ -63,16 +49,16 @@ ConstantModel::bind(Simulator& sim)
 void
 ConstantModel::transit(const Machine* from, const Machine* to,
                        std::uint32_t bytes,
-                       double extraLatencySeconds, Callback done,
-                       DropCallback dropped, const char* label)
+                       double extraLatencySeconds,
+                       OutcomeCallback done, const char* label)
 {
     (void)from;
     (void)to;
     (void)bytes;
-    (void)dropped;  // a constant wire cannot drop
     const SimTime wire =
         secondsToSimTime(config_.wireLatency + extraLatencySeconds);
-    sim_->scheduleAfter(wire, std::move(done), label);
+    sim_->scheduleAfter(
+        wire, outcomeEvent(std::move(done), Outcome::Delivered), label);
 }
 
 void

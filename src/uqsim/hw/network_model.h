@@ -22,10 +22,17 @@
  * Models simulate latency exclusively through engine events, so the
  * determinism contract (docs/ARCHITECTURE.md) and the explorer's
  * choice points apply to every model.
+ *
+ * Every message carries one OutcomeCallback.  It fires exactly once,
+ * from an engine event, with Outcome::Delivered or the reason the
+ * message was lost; the single callback is what makes "delivered or
+ * dropped, never both, never neither" a property of the type rather
+ * than of comments.
  */
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 
 #include "uqsim/core/engine/simulator.h"
 #include "uqsim/hw/irq_service.h"
@@ -35,8 +42,10 @@ namespace hw {
 
 class Machine;
 
-/** Why the wire leg of a message never delivered. */
-enum class DropReason {
+/** How a message's trip ended: delivered, or why it was lost. */
+enum class Outcome {
+    /** Arrived (after the receiver's RX interrupt work, if any). */
+    Delivered,
     /** Lost to a cluster-wide degradation window (façade coin
      *  flip). */
     FaultLoss,
@@ -48,13 +57,18 @@ enum class DropReason {
     Unreachable,
 };
 
-/** Stable lowercase name ("fault_loss", "link_down",
- *  "unreachable"). */
-const char* dropReasonName(DropReason reason);
+/** Invoked exactly once per message, through the event queue, with
+ *  its Outcome. */
+using OutcomeCallback = InlineFunction<void(Outcome), 64>;
 
-/** Invoked exactly once, instead of the delivery callback, when the
- *  wire leg drops a message. */
-using DropCallback = InlineFunction<void(DropReason), 64>;
+/** Event action that reports @p outcome to @p done when it fires. */
+inline auto
+outcomeEvent(OutcomeCallback done, Outcome outcome)
+{
+    return [done = std::move(done), outcome]() mutable {
+        done(outcome);
+    };
+}
 
 /** Wire-level latency/ordering model; see file comment. */
 class NetworkModel {
@@ -80,22 +94,20 @@ class NetworkModel {
 
     /**
      * Simulates the in-flight (wire) leg of a cross-machine message
-     * and invokes @p done exactly once, via engine events, when the
-     * last byte arrives.  Either endpoint may be nullptr ("outside
-     * the cluster", e.g. the load generator).  @p extraLatencySeconds
-     * is the fault-window penalty decided by the façade at send
-     * time.  @p label names the scheduled event in traces.
-     *
-     * When the model itself cannot deliver the message — no
-     * surviving route, a partition, or an in-flight link failure
-     * with the drop policy — @p dropped fires exactly once instead
-     * of @p done (or the message silently vanishes when @p dropped
-     * is empty).  ConstantModel never drops.
+     * and invokes @p done exactly once, from an engine event: with
+     * Outcome::Delivered when the last byte arrives, or with
+     * LinkDown / Unreachable when the model itself cannot deliver
+     * the message (no surviving route, a partition, or an in-flight
+     * link failure with the drop policy; ConstantModel never drops).
+     * Either endpoint may be nullptr ("outside the cluster", e.g. the
+     * load generator).  @p extraLatencySeconds is the fault-window
+     * penalty decided by the façade at send time.  @p label names
+     * the scheduled delivery event in traces.
      */
     virtual void transit(const Machine* from, const Machine* to,
                          std::uint32_t bytes,
-                         double extraLatencySeconds, Callback done,
-                         DropCallback dropped, const char* label) = 0;
+                         double extraLatencySeconds,
+                         OutcomeCallback done, const char* label) = 0;
 
     /** Same-machine (kernel loopback) leg; cannot lose messages. */
     virtual void loopback(const Machine* machine, std::uint32_t bytes,
@@ -138,8 +150,7 @@ class ConstantModel final : public NetworkModel {
     void bind(Simulator& sim) override;
     void transit(const Machine* from, const Machine* to,
                  std::uint32_t bytes, double extraLatencySeconds,
-                 Callback done, DropCallback dropped,
-                 const char* label) override;
+                 OutcomeCallback done, const char* label) override;
     void loopback(const Machine* machine, std::uint32_t bytes,
                   double extraLatencySeconds, Callback done,
                   const char* label) override;

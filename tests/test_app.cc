@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <vector>
@@ -574,6 +575,68 @@ TEST(Dispatcher, BlockingSerializesConnection)
     ASSERT_EQ(control.completions.size(), 2u);
     EXPECT_LT(control.completions[1].second,
               app.completions[1].second);
+}
+
+/**
+ * Two concurrent requests on distinct client connections, each
+ * blocking its client connection at "front" (node 0) and its pooled
+ * connection at "back" (node 1); node 2 leaving "front" runs an
+ * unblock op filtered on @p unblock_service.  Steps the run one event
+ * at a time and returns the peak of pendingBlocks() plus
+ * leakedBlocks() at each completion: the blocks the filter missed,
+ * released when their own request ends.
+ */
+std::pair<std::size_t, std::vector<std::uint64_t>>
+blockFilterRun(const std::string& unblock_service)
+{
+    AppFixture app;
+    app.deployment.registerModel(epollFrontModel("front", 100.0, 4));
+    app.deployment.registerModel(tinyModel("back", 100.0, 4));
+    app.deployment.deployInstance("front", "", {});
+    app.deployment.deployInstance("back", "", {});
+    PathVariant variant = chainVariant({"front", "back", "front"});
+    PathNodeOp block;
+    block.kind = PathNodeOp::Kind::BlockConnection;
+    variant.nodes[0].onEnter.push_back(block);
+    variant.nodes[1].onEnter.push_back(block);
+    PathNodeOp unblock;
+    unblock.kind = PathNodeOp::Kind::UnblockConnection;
+    unblock.service = unblock_service;
+    variant.nodes[2].onLeave.push_back(unblock);
+    app.tree.addVariant(std::move(variant));
+    app.finalize();
+    std::vector<std::uint64_t> leaked_at_completion;
+    app.dispatcher->setOnRequestComplete([&](const Job&, SimTime) {
+        leaked_at_completion.push_back(app.dispatcher->leakedBlocks());
+    });
+    app.issue(app.deployment.instance("front", 0), 1);
+    app.issue(app.deployment.instance("front", 0), 2);
+    std::size_t peak = 0;
+    std::uint64_t steps = 0;
+    while (app.sim.run(kSimTimeMax, ++steps) == StopReason::EventLimit)
+        peak = std::max(peak, app.dispatcher->pendingBlocks());
+    EXPECT_EQ(app.dispatcher->pendingBlocks(), 0u);
+    EXPECT_EQ(app.dispatcher->activeRequests(), 0u);
+    return {peak, leaked_at_completion};
+}
+
+TEST(Dispatcher, UnblockFiltersByServiceAndCountsPerRoot)
+{
+    using Leaks = std::vector<std::uint64_t>;
+    // Both requests hold both of their blocks at once.
+    // The "front" filter releases only the front block; each
+    // request's back block is released by its own completion.
+    const auto front = blockFilterRun("front");
+    EXPECT_EQ(front.first, 4u);
+    EXPECT_EQ(front.second, (Leaks{1, 2}));
+    // An empty filter matches every block of the request.
+    const auto all = blockFilterRun("");
+    EXPECT_EQ(all.first, 4u);
+    EXPECT_EQ(all.second, (Leaks{0, 0}));
+    // A service no deployment knows matches nothing.
+    const auto none = blockFilterRun("nope");
+    EXPECT_EQ(none.first, 4u);
+    EXPECT_EQ(none.second, (Leaks{2, 4}));
 }
 
 TEST(Dispatcher, MultipleVariantsSampled)

@@ -446,7 +446,7 @@ TEST(FaultInjection, ConnectionBlockingSurvivesBackendCrash)
     // The client stopped at 0.8 s and the run drained to 1.2 s: no
     // request may still hold a block or a pooled connection.
     EXPECT_EQ(dispatcher.activeRequests(), 0u);
-    EXPECT_EQ(dispatcher.blocks().totalPending(), 0u);
+    EXPECT_EQ(dispatcher.pendingBlocks(), 0u);
     // Jobs killed inside running batches went back to the pool too.
     EXPECT_EQ(dispatcher.jobs().liveJobs(), 0u);
 }

@@ -31,10 +31,10 @@ namespace uqsim {
 namespace {
 
 using hw::Cluster;
-using hw::DropReason;
 using hw::FatTreeConfig;
 using hw::FlowModel;
 using hw::MachineConfig;
+using hw::Outcome;
 using hw::Topology;
 using hw::TopologyBuilder;
 using json::JsonArray;
@@ -87,7 +87,9 @@ TEST(TopologyFaults, LinkDownFailsOverWithAnalyticalLatencyDelta)
 
     SimTime done_at = -1;
     fix.cluster->network().transfer(fix.a(), fix.b(), 500000,
-                                    [&]() { done_at = fix.sim.now(); });
+                                    [&](Outcome) {
+                                        done_at = fix.sim.now();
+                                    });
     fix.sim.run();
     // Same 1 MB/s capacity, but the backup path pays 30 us of
     // propagation instead of 10 us: the failover's latency delta is
@@ -105,18 +107,19 @@ TEST(TopologyFaults, NoSurvivingRouteYieldsUnreachableVerdict)
     fix.model->setLinkDown(fix.backup);
 
     bool done = false;
-    DropReason reason = DropReason::FaultLoss;
+    Outcome reason = Outcome::Delivered;
     int drops = 0;
     fix.cluster->network().transfer(fix.a(), fix.b(), 500000,
-                                    [&]() { done = true; },
-                                    [&](DropReason r) {
-                                        reason = r;
+                                    [&](Outcome outcome) {
+                                        done = outcome ==
+                                               Outcome::Delivered;
+                                        reason = outcome;
                                         ++drops;
                                     });
     fix.sim.run();
     EXPECT_FALSE(done);
     EXPECT_EQ(drops, 1);
-    EXPECT_EQ(reason, DropReason::Unreachable);
+    EXPECT_EQ(reason, Outcome::Unreachable);
     EXPECT_EQ(fix.model->unreachableMessages(), 1u);
     EXPECT_FALSE(fix.model->reachable(0, 1));
 
@@ -130,15 +133,18 @@ TEST(TopologyFaults, DropPolicyDropsInFlightFlowsAndCounts)
     BackupFixture fix;  // default policy: Drop
 
     bool done = false;
-    DropReason reason = DropReason::FaultLoss;
+    Outcome reason = Outcome::Delivered;
     SimTime dropped_at = -1;
     fix.sim.scheduleAt(0,
                        [&]() {
                            fix.cluster->network().transfer(
                                fix.a(), fix.b(), 500000,
-                               [&]() { done = true; },
-                               [&](DropReason r) {
-                                   reason = r;
+                               [&](Outcome outcome) {
+                                   if (outcome == Outcome::Delivered) {
+                                       done = true;
+                                       return;
+                                   }
+                                   reason = outcome;
                                    dropped_at = fix.sim.now();
                                });
                        },
@@ -152,7 +158,7 @@ TEST(TopologyFaults, DropPolicyDropsInFlightFlowsAndCounts)
     fix.sim.run();
 
     EXPECT_FALSE(done);
-    EXPECT_EQ(reason, DropReason::LinkDown);
+    EXPECT_EQ(reason, Outcome::LinkDown);
     EXPECT_EQ(dropped_at, secondsToSimTime(0.2));
     EXPECT_EQ(fix.model->linkDropsTotal(), 1u);
     EXPECT_NEAR(fix.model->linkDownSeconds(fix.primary), 0.1, 1e-9);
@@ -175,9 +181,10 @@ TEST(TopologyFaults, StallPolicyFinishesLateByExactOutage)
                        [&]() {
                            fix.cluster->network().transfer(
                                fix.a(), fix.b(), 500000,
-                               [&]() { done_at = fix.sim.now(); },
-                               [&](DropReason) {
-                                   FAIL() << "stalled flow dropped";
+                               [&](Outcome outcome) {
+                                   EXPECT_EQ(outcome, Outcome::Delivered)
+                                       << "stalled flow dropped";
+                                   done_at = fix.sim.now();
                                });
                        },
                        "test/start");
@@ -217,7 +224,7 @@ TEST(TopologyFaults, RepairRestoresExactPreFaultAllocation)
                            cluster.network().transfer(
                                cluster.machines()[i],
                                cluster.machines()[0], 2000000,
-                               []() {});
+                               [](Outcome) {});
                        },
                        "test/start");
     }
@@ -283,14 +290,16 @@ TEST(TopologyFaults, PartitionBlocksOnlyCrossGroupPairs)
     EXPECT_FALSE(model->reachable(3, 1));
 
     bool done = false;
-    DropReason reason = DropReason::FaultLoss;
+    Outcome reason = Outcome::Delivered;
     cluster.network().transfer(cluster.machines()[0],
                                cluster.machines()[2], 1000,
-                               [&]() { done = true; },
-                               [&](DropReason r) { reason = r; });
+                               [&](Outcome outcome) {
+                                   done = outcome == Outcome::Delivered;
+                                   reason = outcome;
+                               });
     sim.run();
     EXPECT_FALSE(done);
-    EXPECT_EQ(reason, DropReason::Unreachable);
+    EXPECT_EQ(reason, Outcome::Unreachable);
     EXPECT_EQ(model->unreachableMessages(), 1u);
 
     // Hosts outside every group are unaffected.
@@ -432,7 +441,7 @@ TEST(TopologyFaults, RouteFailoverChoicePointRecordsAndReplays)
         SimTime done_at = -1;
         cluster.network().transfer(cluster.machines()[0],
                                    cluster.machines()[1], 500000,
-                                   [&]() { done_at = sim.now(); });
+                                   [&](Outcome) { done_at = sim.now(); });
         sim.run();
         return std::make_pair(done_at, sim.traceDigest());
     };

@@ -244,7 +244,8 @@ TEST_F(NetworkTest, CrossMachinePaysIrqTwicePlusWire)
 {
     Network network(sim_, ConstantModel::make(net_));
     SimTime done = -1;
-    network.transfer(a_.get(), b_.get(), 0, [&] { done = sim_.now(); });
+    network.transfer(a_.get(), b_.get(), 0,
+                     [&](Outcome) { done = sim_.now(); });
     sim_.run();
     // irq(exp mean 1us is deterministic? no: exponential). Just check
     // it is at least the wire latency and both irq services ran.
@@ -258,7 +259,8 @@ TEST_F(NetworkTest, LoopbackSkipsWire)
 {
     Network network(sim_, ConstantModel::make(net_));
     SimTime done = -1;
-    network.transfer(a_.get(), a_.get(), 0, [&] { done = sim_.now(); });
+    network.transfer(a_.get(), a_.get(), 0,
+                     [&](Outcome) { done = sim_.now(); });
     sim_.run();
     EXPECT_GE(done, secondsToSimTime(5e-6));
     EXPECT_LT(done, secondsToSimTime(20e-6));
@@ -269,7 +271,7 @@ TEST_F(NetworkTest, ClientLegPaysWireOnly)
 {
     Network network(sim_, ConstantModel::make(net_));
     SimTime done = -1;
-    network.transfer(nullptr, nullptr, 0, [&] { done = sim_.now(); });
+    network.transfer(nullptr, nullptr, 0, [&](Outcome) { done = sim_.now(); });
     sim_.run();
     EXPECT_EQ(done, secondsToSimTime(20e-6));
 }

@@ -30,10 +30,10 @@ namespace uqsim {
 namespace {
 
 using hw::Cluster;
-using hw::DropReason;
 using hw::FatTreeConfig;
 using hw::FlowModel;
 using hw::MachineConfig;
+using hw::Outcome;
 using hw::Topology;
 using hw::TopologyBuilder;
 
@@ -267,7 +267,7 @@ TEST(FlowModel, SingleFlowPaysTransmissionPlusLatency)
 
     SimTime done_at = -1;
     cluster.network().transfer(&a, &b, 500000,
-                               [&]() { done_at = sim.now(); });
+                               [&](Outcome) { done_at = sim.now(); });
     sim.run();
     // 500 kB over 1 MB/s = 0.5 s transmission + 10 us propagation.
     EXPECT_EQ(done_at, secondsToSimTime(0.5) + secondsToSimTime(10e-6));
@@ -289,7 +289,7 @@ TEST(FlowModel, ZeroBytesSkipBandwidthSharing)
 
     SimTime done_at = -1;
     cluster.network().transfer(&a, &b, 0,
-                               [&]() { done_at = sim.now(); });
+                               [&](Outcome) { done_at = sim.now(); });
     sim.run();
     EXPECT_EQ(done_at, secondsToSimTime(10e-6));
     EXPECT_EQ(flow_model->flowsStarted(), 0u);
@@ -301,7 +301,7 @@ TEST(FlowModel, MissingRouteThrows)
     Cluster cluster(sim, FlowModel::make());
     hw::Machine& a = cluster.addMachine(bareMachine("a"));
     hw::Machine& b = cluster.addMachine(bareMachine("b"));
-    EXPECT_THROW(cluster.network().transfer(&a, &b, 100, []() {}),
+    EXPECT_THROW(cluster.network().transfer(&a, &b, 100, [](Outcome) {}),
                  std::logic_error);
 }
 
@@ -350,7 +350,9 @@ TEST(FlowModel, IncastThroughputMatchesAnalyticalShare)
                        [&, i]() {
                            cluster.network().transfer(
                                senders[i], &receiver, kBytes,
-                               [&, i]() { done_at[i] = sim.now(); });
+                               [&, i](Outcome) {
+                                   done_at[i] = sim.now();
+                               });
                        },
                        "incast/start");
     }
@@ -400,7 +402,9 @@ TEST(FlowModel, SlowUplinkBoundsOnlyItsOwnFlow)
                        [&, i]() {
                            cluster.network().transfer(
                                senders[i], &receiver, kBytes,
-                               [&, i]() { done_at[i] = sim.now(); });
+                               [&, i](Outcome) {
+                                   done_at[i] = sim.now();
+                               });
                        },
                        "incast/start");
     }
@@ -440,12 +444,13 @@ TEST(FlowModel, RecycledFlowSlotStartsClean)
     SimTime second_done = -1;
     const SimTime second_start = secondsToSimTime(0.75);
     cluster.network().transfer(&a, &b, 500000,
-                               [&]() { first_done = sim.now(); });
+                               [&](Outcome) { first_done = sim.now(); });
     sim.scheduleAt(
         second_start,
         [&]() {
             cluster.network().transfer(
-                &c, &d, 200000, [&]() { second_done = sim.now(); });
+                &c, &d, 200000,
+                [&](Outcome) { second_done = sim.now(); });
         },
         "test/start");
     sim.run();
@@ -487,7 +492,7 @@ TEST(FlowModel, DroppingMiddleFlowLeavesSurvivorsExact)
 
     std::vector<SimTime> done_at(3, -1);
     int drops = 0;
-    DropReason reason = DropReason::FaultLoss;
+    Outcome reason = Outcome::Delivered;
     sim.scheduleAt(
         0,
         [&]() {
@@ -495,11 +500,13 @@ TEST(FlowModel, DroppingMiddleFlowLeavesSurvivorsExact)
                 cluster.network().transfer(
                     senders[static_cast<std::size_t>(i)], &recv,
                     static_cast<std::uint32_t>(kBytes),
-                    [&, i]() {
-                        done_at[static_cast<std::size_t>(i)] = sim.now();
-                    },
-                    [&](DropReason r) {
-                        reason = r;
+                    [&, i](Outcome outcome) {
+                        if (outcome == Outcome::Delivered) {
+                            done_at[static_cast<std::size_t>(i)] =
+                                sim.now();
+                            return;
+                        }
+                        reason = outcome;
                         ++drops;
                     });
             }
@@ -511,7 +518,7 @@ TEST(FlowModel, DroppingMiddleFlowLeavesSurvivorsExact)
     sim.run();
 
     EXPECT_EQ(drops, 1);
-    EXPECT_EQ(reason, DropReason::LinkDown);
+    EXPECT_EQ(reason, Outcome::LinkDown);
     EXPECT_EQ(done_at[1], -1);
     const double left = kBytes - kCap / 3 * 0.25;
     const SimTime expected = down_at +
@@ -652,7 +659,7 @@ runTopologyFlows(double gbps_scale, std::vector<FlowCase> cases)
                            cluster.network().transfer(
                                cluster.machines()[c.from],
                                cluster.machines()[c.to], c.bytes,
-                               [&, i]() { done[i] = sim.now(); });
+                               [&, i](Outcome) { done[i] = sim.now(); });
                        },
                        "meta/start");
     }
@@ -814,7 +821,7 @@ TEST(MachinesJsonV2, ExplicitLinksAndRoutesWork)
     SimTime done_at = -1;
     cluster->network().transfer(&cluster->machine("a"),
                                 &cluster->machine("b"), 500000,
-                                [&]() { done_at = sim.now(); });
+                                [&](Outcome) { done_at = sim.now(); });
     sim.run();
     EXPECT_EQ(done_at,
               secondsToSimTime(0.5) + secondsToSimTime(10e-6));
@@ -822,7 +829,7 @@ TEST(MachinesJsonV2, ExplicitLinksAndRoutesWork)
     SimTime back_at = -1;
     cluster->network().transfer(&cluster->machine("b"),
                                 &cluster->machine("a"), 0,
-                                [&]() { back_at = sim.now(); });
+                                [&](Outcome) { back_at = sim.now(); });
     sim.run();
     EXPECT_EQ(back_at, done_at + secondsToSimTime(10e-6));
 }

@@ -180,7 +180,7 @@ TEST_P(LoadSweepInvariantTest, RequestsConservedAtAnyLoad)
     EXPECT_EQ(dispatcher.leakedHops(), 0u);
     EXPECT_EQ(dispatcher.leakedBlocks(), 0u);
     // Blocks outstanding must belong to active requests only.
-    EXPECT_LE(dispatcher.blocks().totalPending(),
+    EXPECT_LE(dispatcher.pendingBlocks(),
               dispatcher.activeRequests());
 }
 

@@ -430,25 +430,6 @@ TEST(ConnectionTable, PipelinedOwnersServedInOrder)
     EXPECT_EQ(unblocked_events, 2);
 }
 
-TEST(BlockRegistry, UnblockByRootAndService)
-{
-    ConnectionTable nginx, proxy;
-    BlockRegistry registry;
-    registry.block(1, nginx, 10, "nginx");
-    registry.block(1, proxy, 20, "proxy");
-    registry.block(2, nginx, 30, "nginx");
-    EXPECT_EQ(registry.pendingFor(1), 2u);
-    EXPECT_EQ(registry.totalPending(), 3u);
-    EXPECT_EQ(registry.unblock(1, "nginx"), 1);
-    EXPECT_FALSE(nginx.isBlocked(10));
-    EXPECT_TRUE(proxy.isBlocked(20));
-    // Empty service matches everything remaining for the root.
-    EXPECT_EQ(registry.unblock(1, ""), 1);
-    EXPECT_FALSE(proxy.isBlocked(20));
-    EXPECT_EQ(registry.totalPending(), 1u);
-    EXPECT_EQ(registry.unblock(99, ""), 0);
-}
-
 // ------------------------------------------------------- ConnectionPool
 
 TEST(ConnectionPool, GrantsUpToSizeThenQueues)
