@@ -16,9 +16,7 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "uqsim/models/applications.h"
-#include "uqsim/power/energy_model.h"
-#include "uqsim/power/power_manager.h"
+#include "power_run.h"
 
 using namespace uqsim;
 
@@ -39,9 +37,6 @@ runWithSteps(int dvfs_steps)
     params.run.warmupSeconds = 1.0;
     params.run.durationSeconds = 90.0;
     params.dvfsSteps = dvfs_steps;
-    auto simulation =
-        Simulation::fromBundle(models::powerTwoTierBundle(params));
-
     power::PowerManagerConfig config;
     config.intervalSeconds = 0.5;
     config.qosTargetSeconds = 5e-3;
@@ -51,30 +46,9 @@ runWithSteps(int dvfs_steps)
     // ramp (a real step-size/control-law interaction).
     config.speedUpSteps = std::max(1, dvfs_steps / 8);
     config.slowDownSteps = std::max(1, dvfs_steps / 16);
-    power::PowerManager manager(
-        simulation->sim(), config,
-        {{"nginx",
-          {simulation->deployment().instance("nginx", 0).dvfs()}},
-         {"memcached",
-          {simulation->deployment()
-               .instance("memcached", 0)
-               .dvfs()}}});
-    simulation->setCompletionListener(
-        [&](const Job&, double seconds) {
-            manager.noteEndToEnd(seconds);
-        });
-    simulation->setTierListener(
-        [&](const std::string& tier, double seconds) {
-            manager.noteTierLatency(tier, seconds);
-        });
-    power::EnergyTracker front_energy(
-        simulation->sim(),
-        *simulation->deployment().instance("nginx", 0).dvfs(), 2);
-    power::EnergyTracker back_energy(
-        simulation->sim(),
-        *simulation->deployment().instance("memcached", 0).dvfs(), 2);
-    manager.start();
-    simulation->run();
+    const bench::PowerManagedRun run =
+        bench::runPowerManaged(params, config);
+    const power::PowerManager& manager = *run.manager;
 
     GranularityResult result;
     // "Converged" tail: mean of the per-window p99 over the second
@@ -82,9 +56,7 @@ runWithSteps(int dvfs_steps)
     result.convergedTailMs =
         manager.tailSeries().meanOver(45.0, 90.0);
     result.violationRate = manager.violationRate();
-    result.energySavings = (front_energy.savingsFraction() +
-                            back_energy.savingsFraction()) /
-                           2.0;
+    result.energySavings = run.energySavings();
     result.meanFreqGhz =
         (manager.frequencySeries("nginx").meanOver(45.0, 90.0) +
          manager.frequencySeries("memcached").meanOver(45.0, 90.0)) /

@@ -21,43 +21,21 @@
  * compare events/sec against the committed baseline.
  */
 
-#include <chrono>
-#include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <string>
-#include <vector>
+#include <cstdint>
+#include <functional>
 
-#include "uqsim/core/sim/simulation.h"
-#include "uqsim/json/json_value.h"
-#include "uqsim/json/json_writer.h"
+#include "section_runner.h"
 #include "uqsim/models/applications.h"
 
 namespace {
 
-using uqsim::json::JsonValue;
-
-double
-median(std::vector<double> values)
-{
-    std::sort(values.begin(), values.end());
-    return values[values.size() / 2];
-}
-
-struct SectionResult {
-    std::string name;
-    std::uint64_t events = 0;
-    double wallSeconds = 0.0;
-    double eventsPerSec = 0.0;
-    std::uint64_t digest = 0;
-};
+using uqsim::bench::SectionResult;
 
 /** Raw engine churn: self-rescheduling ring + mostly-cancelled
  *  timeouts, the two dominant event patterns in a simulation. */
 SectionResult
 runChurn(int rounds)
 {
-    using Clock = std::chrono::steady_clock;
     uqsim::Simulator sim(99);
     constexpr int kRing = 256;
     constexpr uqsim::SimTime kStep = 1000;
@@ -81,35 +59,8 @@ runChurn(int rounds)
         sim.scheduleAt(static_cast<uqsim::SimTime>(i), tick,
                        "churn/seed");
     }
-    const auto start = Clock::now();
-    sim.run(uqsim::kSimTimeMax, max_events);
-    const double wall =
-        std::chrono::duration<double>(Clock::now() - start).count();
-    SectionResult result;
-    result.name = "churn";
-    result.events = sim.executedEvents();
-    result.wallSeconds = wall;
-    result.eventsPerSec = static_cast<double>(result.events) / wall;
-    result.digest = sim.traceDigest();
-    return result;
-}
-
-SectionResult
-runReplay(const std::string& name, const uqsim::ConfigBundle& bundle)
-{
-    using Clock = std::chrono::steady_clock;
-    auto simulation = uqsim::Simulation::fromBundle(bundle);
-    const auto start = Clock::now();
-    const uqsim::RunReport report = simulation->run();
-    const double wall =
-        std::chrono::duration<double>(Clock::now() - start).count();
-    SectionResult result;
-    result.name = name;
-    result.events = report.events;
-    result.wallSeconds = wall;
-    result.eventsPerSec = static_cast<double>(report.events) / wall;
-    result.digest = simulation->sim().traceDigest();
-    return result;
+    return uqsim::bench::timeSimulator(
+        sim, [&]() { sim.run(uqsim::kSimTimeMax, max_events); });
 }
 
 uqsim::ConfigBundle
@@ -137,104 +88,21 @@ twoTierBundle()
     return uqsim::models::twoTierBundle(params);
 }
 
-SectionResult
-best(std::vector<SectionResult> reps)
-{
-    std::vector<double> rates;
-    rates.reserve(reps.size());
-    for (const SectionResult& rep : reps)
-        rates.push_back(rep.eventsPerSec);
-    SectionResult result = reps.front();
-    for (const SectionResult& rep : reps) {
-        if (rep.digest != result.digest || rep.events != result.events) {
-            std::fprintf(stderr,
-                         "FATAL: %s not deterministic across reps\n",
-                         result.name.c_str());
-            std::exit(1);
-        }
-    }
-    result.eventsPerSec = median(rates);
-    result.wallSeconds =
-        static_cast<double>(result.events) / result.eventsPerSec;
-    return result;
-}
-
 }  // namespace
 
 int
 main(int argc, char** argv)
 {
-    int reps = 5;
-    int churn_rounds = 4;
-    std::string out = "BENCH_engine.json";
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc) {
-            reps = std::atoi(argv[++i]);
-        } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-            out = argv[++i];
-        } else if (std::strcmp(argv[i], "--quick") == 0) {
-            reps = 2;
-            churn_rounds = 1;
-        } else {
-            std::fprintf(stderr,
-                         "usage: %s [--reps N] [--out FILE] [--quick]\n",
-                         argv[0]);
-            return 2;
-        }
-    }
-    if (reps < 1)
-        reps = 1;
-
-    std::vector<SectionResult> sections;
-    struct Spec {
-        const char* name;
-        std::function<SectionResult()> run;
-    };
-    const Spec specs[] = {
-        {"churn", [&]() { return runChurn(churn_rounds); }},
-        {"replay_fanout",
-         []() { return runReplay("replay_fanout", fanoutBundle()); }},
-        {"replay_two_tier",
-         []() { return runReplay("replay_two_tier", twoTierBundle()); }},
-    };
-    for (const Spec& spec : specs) {
-        std::vector<SectionResult> rep_results;
-        for (int r = 0; r < reps; ++r)
-            rep_results.push_back(spec.run());
-        const SectionResult section = best(std::move(rep_results));
-        std::printf(
-            "%-18s %10llu events  %8.3f s  %12.0f events/s  "
-            "digest %016llx\n",
-            section.name.c_str(),
-            static_cast<unsigned long long>(section.events),
-            section.wallSeconds, section.eventsPerSec,
-            static_cast<unsigned long long>(section.digest));
-        sections.push_back(section);
-    }
-
-    JsonValue doc = JsonValue::makeObject();
-    doc.asObject()["schema"] = "uqsim-bench-engine-v1";
-    doc.asObject()["reps"] = reps;
-    JsonValue list = JsonValue::makeArray();
-    for (const SectionResult& section : sections) {
-        JsonValue entry = JsonValue::makeObject();
-        entry.asObject()["name"] = section.name;
-        entry.asObject()["events"] = section.events;
-        entry.asObject()["wall_s"] = section.wallSeconds;
-        entry.asObject()["events_per_sec"] = section.eventsPerSec;
-        char digest[32];
-        std::snprintf(digest, sizeof(digest), "%016llx",
-                      static_cast<unsigned long long>(section.digest));
-        entry.asObject()["trace_digest"] = digest;
-        list.asArray().push_back(std::move(entry));
-    }
-    doc.asObject()["sections"] = std::move(list);
-    std::ofstream file(out);
-    file << uqsim::json::writePretty(doc) << "\n";
-    if (!file) {
-        std::fprintf(stderr, "failed to write %s\n", out.c_str());
-        return 1;
-    }
-    std::printf("wrote %s\n", out.c_str());
-    return 0;
+    const uqsim::bench::BenchOptions options =
+        uqsim::bench::parseBenchArgs(argc, argv, "BENCH_engine.json");
+    const int churn_rounds = options.quick ? 1 : 4;
+    return uqsim::bench::runSections(
+        options,
+        {
+            {"churn", [churn_rounds]() { return runChurn(churn_rounds); }},
+            {"replay_fanout",
+             []() { return uqsim::bench::timeReplay(fanoutBundle()); }},
+            {"replay_two_tier",
+             []() { return uqsim::bench::timeReplay(twoTierBundle()); }},
+        });
 }

@@ -16,9 +16,7 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "uqsim/models/applications.h"
-#include "uqsim/power/energy_model.h"
-#include "uqsim/power/power_manager.h"
+#include "power_run.h"
 #include "uqsim/workload/load_pattern.h"
 
 using namespace uqsim;
@@ -46,36 +44,12 @@ runPowerManaged(double interval_s, bool real_proxy, double duration_s)
     params.baseQps = 9000.0;
     params.amplitudeQps = 7000.0;
     params.periodSeconds = 60.0;
-    auto simulation =
-        Simulation::fromBundle(models::powerTwoTierBundle(params));
-
     power::PowerManagerConfig config;
     config.intervalSeconds = interval_s;
     config.qosTargetSeconds = 5e-3;
-    power::PowerManager manager(
-        simulation->sim(), config,
-        {{"nginx",
-          {simulation->deployment().instance("nginx", 0).dvfs()}},
-         {"memcached",
-          {simulation->deployment()
-               .instance("memcached", 0)
-               .dvfs()}}});
-    simulation->setCompletionListener(
-        [&](const Job&, double seconds) {
-            manager.noteEndToEnd(seconds);
-        });
-    simulation->setTierListener(
-        [&](const std::string& service, double seconds) {
-            manager.noteTierLatency(service, seconds);
-        });
-    power::EnergyTracker front_energy(
-        simulation->sim(),
-        *simulation->deployment().instance("nginx", 0).dvfs(), 2);
-    power::EnergyTracker back_energy(
-        simulation->sim(),
-        *simulation->deployment().instance("memcached", 0).dvfs(), 2);
-    manager.start();
-    simulation->run();
+    const bench::PowerManagedRun run =
+        bench::runPowerManaged(params, config);
+    const power::PowerManager& manager = *run.manager;
 
     PowerRunResult result;
     result.violationRate = manager.violationRate();
@@ -84,9 +58,7 @@ runPowerManaged(double interval_s, bool real_proxy, double duration_s)
     result.meanBackGhz =
         manager.frequencySeries("memcached")
             .meanOver(0.0, duration_s);
-    result.energySavings = (front_energy.savingsFraction() +
-                            back_energy.savingsFraction()) /
-                           2.0;
+    result.energySavings = run.energySavings();
     result.tail = manager.tailSeries();
     result.frontFreq = manager.frequencySeries("nginx");
     result.backFreq = manager.frequencySeries("memcached");

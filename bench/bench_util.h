@@ -35,8 +35,8 @@ benchJobs()
  * Runs one load sweep on the parallel SweepRunner (benchJobs()
  * workers) and collapses it to the SweepCurve the print helpers
  * consume.  The factory receives the per-replication seed; with the
- * default single replication the results are bitwise identical to
- * the serial runLoadSweep of a factory baking in @p base_seed.
+ * default single replication each point is bitwise identical to one
+ * run of the factory at @p base_seed, whatever the thread count.
  */
 inline SweepCurve
 parallelSweep(const std::string& label, const std::vector<double>& loads,

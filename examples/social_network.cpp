@@ -17,6 +17,7 @@
 
 #include "uqsim/core/sim/sweep.h"
 #include "uqsim/models/applications.h"
+#include "uqsim/runner/sweep_runner.h"
 
 using namespace uqsim;
 
@@ -29,13 +30,21 @@ main()
     base.mediaProbability = 0.25;
     base.postMissProbability = 0.2;
 
-    const SweepCurve curve = runLoadSweep(
-        "social", linspace(1000.0, 9000.0, 5), [&](double qps) {
+    // One replication per load at the base seed; RunnerOptions::jobs
+    // spreads the points over threads without changing the curve.
+    runner::RunnerOptions options;
+    options.baseSeed = base.run.seed;
+    runner::SweepRunner sweep_runner(options);
+    sweep_runner.addSweep(
+        "social", linspace(1000.0, 9000.0, 5),
+        [&base](double qps, std::uint64_t seed) {
             models::SocialNetworkParams params = base;
             params.run.qps = qps;
+            params.run.seed = seed;
             return Simulation::fromBundle(
                 models::socialNetworkBundle(params));
         });
+    const SweepCurve curve = sweep_runner.run().front().toSweepCurve();
     std::fputs(formatSweepTable({curve}).c_str(), stdout);
     std::printf("saturation ~%.0f qps\n\n", curve.saturationQps());
 

@@ -40,7 +40,7 @@ def load_sections(path):
             doc = json.load(fh)
     except FileNotFoundError:
         raise BenchFileError(
-            f"{path}: no such file (run bench_engine --json first, or "
+            f"{path}: no such file (run bench_engine --out FILE first, or "
             "restore the committed baseline)") from None
     except OSError as error:
         raise BenchFileError(f"{path}: cannot read: {error}") from None

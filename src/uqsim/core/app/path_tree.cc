@@ -4,6 +4,8 @@
 #include <set>
 #include <stdexcept>
 
+#include "uqsim/json/validation.h"
+
 namespace uqsim {
 
 PathNodeOp
@@ -230,8 +232,23 @@ PathTree::resolveServiceIds(NameInterner& names)
     }
     for (PathVariant& variant : variants_) {
         for (PathNode& node : variant.nodes) {
-            for (PathNodeOp& op : node.onLeave)
+            for (PathNodeOp& op : node.onLeave) {
                 op.serviceId = names.find(op.service);
+                if (op.service.empty() ||
+                    op.serviceId != NameInterner::kNone)
+                    continue;
+                std::string message =
+                    "unblock_connection names unknown service \"" +
+                    op.service + "\"";
+                std::vector<std::string> candidates;
+                for (std::uint32_t id = 0; id < names.size(); ++id)
+                    candidates.push_back(names.name(id));
+                const std::string suggestion =
+                    json::suggestClosest(op.service, candidates);
+                if (!suggestion.empty())
+                    message += "; did you mean \"" + suggestion + "\"?";
+                throw std::invalid_argument(message);
+            }
         }
     }
 }

@@ -43,8 +43,8 @@ struct PathNodeOp {
     Kind kind = Kind::BlockConnection;
     /** Service filter for UnblockConnection. */
     std::string service;
-    /** Interned id of `service` (resolveServiceIds); kNone when the
-     *  name was never interned, so it matches no block. */
+    /** Interned id of `service` (resolveServiceIds); kNone only
+     *  while `service` is empty. */
     std::uint32_t serviceId = NameInterner::kNone;
 
     /** True when this unblock op releases a block taken at service
@@ -137,7 +137,9 @@ class PathTree {
     /**
      * Interns each node's service name into @p names, filling
      * PathNode::serviceId, then looks up each unblock op's service
-     * filter (PathNodeOp::serviceId) without interning it.
+     * filter (PathNodeOp::serviceId) without interning it.  Throws
+     * std::invalid_argument, with the closest known name, when a
+     * non-empty filter names no service.
      */
     void resolveServiceIds(NameInterner& names);
 

@@ -180,8 +180,6 @@ class Simulation {
     Simulator& sim() { return sim_; }
     const Simulator& sim() const { return sim_; }
     Dispatcher& dispatcher();
-    /** Null when the run has no fault plan. */
-    fault::FaultScheduler* faultScheduler() { return faultScheduler_.get(); }
     const SimulationOptions& options() const { return options_; }
     std::vector<std::unique_ptr<workload::Client>>& clients()
     {

@@ -36,28 +36,6 @@ SweepCurve::tailBeforeSaturationMs(double tolerance) const
     return tail;
 }
 
-SweepCurve
-runLoadSweep(const std::string& label, const std::vector<double>& loads,
-             const std::function<std::unique_ptr<Simulation>(double)>&
-                 factory)
-{
-    SweepCurve curve;
-    curve.label = label;
-    curve.points.reserve(loads.size());
-    for (double load : loads) {
-        std::unique_ptr<Simulation> simulation = factory(load);
-        if (!simulation || !simulation->finalized()) {
-            throw std::logic_error(
-                "sweep factory must return a finalized simulation");
-        }
-        SweepPoint point;
-        point.offeredQps = load;
-        point.report = simulation->run();
-        curve.points.push_back(std::move(point));
-    }
-    return curve;
-}
-
 std::string
 formatSweepTable(const std::vector<SweepCurve>& curves)
 {

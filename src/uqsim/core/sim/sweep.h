@@ -3,9 +3,10 @@
 
 /**
  * @file
- * Load-sweep harness for producing the paper's load-latency curves:
- * run one independent simulation per offered-load point and collect
- * the reports.
+ * Load-latency curves for the paper's figures: the curve type that
+ * runner::SweepRunner produces (one independent simulation per
+ * offered-load point), its table formatting, load spacing, and the
+ * SLO capacity search.
  */
 
 #include <functional>
@@ -39,15 +40,6 @@ struct SweepCurve {
     /** p99 latency (ms) at the highest non-saturated point. */
     double tailBeforeSaturationMs(double tolerance = 0.05) const;
 };
-
-/**
- * Runs @p factory once per load in @p loads.  The factory must
- * return a finalized simulation offering that load.
- */
-SweepCurve
-runLoadSweep(const std::string& label, const std::vector<double>& loads,
-             const std::function<std::unique_ptr<Simulation>(double)>&
-                 factory);
 
 /**
  * Formats curves as an aligned text table with columns

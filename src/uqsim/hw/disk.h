@@ -87,7 +87,6 @@ class Disk {
 
     // ------------------------------------------------ observability
 
-    std::uint64_t opsSubmitted() const { return submitted_; }
     std::uint64_t readsCompleted() const { return readsCompleted_; }
     std::uint64_t writesCompleted() const
     {
@@ -101,8 +100,6 @@ class Disk {
     std::uint64_t peakQueueDepth() const { return peakQueued_; }
     /** Number of share recomputations (op starts + finishes). */
     std::uint64_t reshareCount() const { return reshares_; }
-    std::size_t inServiceCount() const { return inService_.size(); }
-    std::size_t waitingCount() const { return waiting_.size(); }
 
     /** Wall-clock seconds with at least one operation in service. */
     double busySeconds(SimTime now) const;

@@ -44,7 +44,6 @@ IrqService::startService(Packet packet)
         perPacket_->sample(rng_) + perByte_ * packet.bytes;
     if (dvfs_ != nullptr)
         seconds *= dvfs_->slowdown();
-    serviceTimes_.add(seconds);
     const SimTime duration = secondsToSimTime(seconds);
     sim_.scheduleAfter(
         duration,

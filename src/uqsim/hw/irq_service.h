@@ -25,7 +25,6 @@
 #include "uqsim/hw/dvfs.h"
 #include "uqsim/random/distribution.h"
 #include "uqsim/random/rng.h"
-#include "uqsim/stats/summary.h"
 
 namespace uqsim {
 namespace hw {
@@ -63,17 +62,8 @@ class IrqService {
     /** Packets fully processed so far. */
     std::uint64_t processedPackets() const { return processed_; }
 
-    /** Packets currently queued (not yet in service). */
-    std::size_t queuedPackets() const { return queue_.size(); }
-
     /** Mean core utilization so far. */
     double utilization() const;
-
-    /** Observed per-packet processing-time statistics. */
-    const stats::Summary& serviceTimeStats() const
-    {
-        return serviceTimes_;
-    }
 
   private:
     struct Packet {
@@ -94,7 +84,6 @@ class IrqService {
     random::RngStream rng_;
     std::deque<Packet> queue_;
     std::uint64_t processed_ = 0;
-    stats::Summary serviceTimes_;
 };
 
 }  // namespace hw

@@ -107,23 +107,20 @@ PowerManager::chooseNewTarget()
 void
 PowerManager::decide()
 {
-    const stats::WindowStats end_to_end = endToEndWindow_.close();
-    std::vector<stats::WindowStats> tier_stats(tiers_.size());
+    const double end_to_end_p99 = endToEndWindow_.p99();
     TierTuple observed(tiers_.size(), 0.0);
-    for (std::size_t i = 0; i < tiers_.size(); ++i) {
-        tier_stats[i] = tierWindows_[i].close();
-        observed[i] = tier_stats[i].p99;
-    }
+    for (std::size_t i = 0; i < tiers_.size(); ++i)
+        observed[i] = tierWindows_[i].p99();
 
-    if (end_to_end.count >= config_.minWindowSamples) {
+    if (endToEndWindow_.count() >= config_.minWindowSamples) {
         ++windows_;
         tailSeries_.add(simTimeToSeconds(sim_.now()),
-                        end_to_end.p99 * 1e3);
+                        end_to_end_p99 * 1e3);
 
-        if (end_to_end.p99 < config_.qosTargetSeconds) {
+        if (end_to_end_p99 < config_.qosTargetSeconds) {
             // --- QoS met (Algorithm 1, lines 5-14) ---
             const std::size_t bucket_index =
-                buckets_.classify(end_to_end.p99);
+                buckets_.classify(end_to_end_p99);
             QosBucket& bucket = buckets_.bucket(bucket_index);
             bucket.insert(observed);
             bucket.reward();
@@ -135,7 +132,7 @@ PowerManager::decide()
             std::size_t best_tier = tiers_.size();
             double best_slack = config_.slackThreshold;
             for (std::size_t i = 0; i < tiers_.size(); ++i) {
-                if (tier_stats[i].count == 0 || targets_[i] <= 0.0)
+                if (tierWindows_[i].empty() || targets_[i] <= 0.0)
                     continue;
                 const double slack =
                     (targets_[i] - observed[i]) / targets_[i];
@@ -161,7 +158,7 @@ PowerManager::decide()
             }
             chooseNewTarget();
             for (std::size_t i = 0; i < tiers_.size(); ++i) {
-                if (tier_stats[i].count == 0)
+                if (tierWindows_[i].empty())
                     continue;
                 if (observed[i] > targets_[i]) {
                     for (int step = 0; step < config_.speedUpSteps;
@@ -173,6 +170,9 @@ PowerManager::decide()
         }
         recordFrequencies();
     }
+    endToEndWindow_.reset();
+    for (stats::PercentileRecorder& window : tierWindows_)
+        window.reset();
 
     sim_.scheduleAfter(secondsToSimTime(config_.intervalSeconds),
                        [this]() { decide(); }, "power/decide");

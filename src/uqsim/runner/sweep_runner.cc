@@ -334,8 +334,7 @@ SweepRunner::run()
         const JournalIndex index = JournalIndex::load(options_.resumePath);
         // Crash-safety surfacing: a journal truncated mid-append is
         // usable, but the dropped lines must be visible.
-        resumeWarnings_ = index.warnings;
-        for (const std::string& warning : resumeWarnings_)
+        for (const std::string& warning : index.warnings)
             std::fprintf(stderr, "uqsim: %s\n", warning.c_str());
         const bool copy_forward =
             journal != nullptr && options_.journalPath != options_.resumePath;

@@ -209,8 +209,8 @@ struct ReplicatedCurve {
     /**
      * Collapses each point to its pooled report, yielding the
      * SweepCurve shape the figure benches and saturation helpers
-     * consume.  With one replication this is exactly the serial
-     * runLoadSweep result for the same seed.
+     * consume.  With one replication each point is exactly the
+     * report of one run of the factory at the base seed.
      */
     SweepCurve toSweepCurve() const;
 };
@@ -244,14 +244,6 @@ class SweepRunner {
     /** After run(): jobs that failed (by taxonomy, all kinds). */
     int failedJobs() const { return failedJobs_; }
 
-    /** After run(): warnings surfaced while loading the resume
-     *  journal (dropped truncated/corrupt lines).  Also printed to
-     *  stderr during run(). */
-    const std::vector<std::string>& resumeWarnings() const
-    {
-        return resumeWarnings_;
-    }
-
     const RunnerOptions& options() const { return options_; }
 
   private:
@@ -266,7 +258,6 @@ class SweepRunner {
     bool ran_ = false;
     int restoredJobs_ = 0;
     int failedJobs_ = 0;
-    std::vector<std::string> resumeWarnings_;
 };
 
 /**

@@ -20,8 +20,9 @@
  *    and run it (see docs/FORMATS.md).
  *  - uqsim::models — calibrated service models and complete
  *    application bundles for every system the paper evaluates.
- *  - uqsim::runLoadSweep / uqsim::findSloCapacity — load-latency
- *    curves and SLO capacity planning.
+ *  - uqsim::runner::SweepRunner / uqsim::findSloCapacity —
+ *    load-latency curves (serial or on a thread pool) and SLO
+ *    capacity planning.
  *  - uqsim::TraceRecorder — sampled per-request waterfalls.
  *  - uqsim::power::PowerManager — the QoS-aware DVFS controller of
  *    the paper's §V-B case study.

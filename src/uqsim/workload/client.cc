@@ -155,14 +155,6 @@ Client::scaleLoad(double scale)
     config_.load = std::make_shared<ScaledLoad>(config_.load, scale);
 }
 
-double
-Client::currentOfferedLoad() const
-{
-    if (!config_.load)
-        return 0.0;
-    return config_.load->rateAt(simTimeToSeconds(sim_.now()));
-}
-
 void
 Client::scheduleNext()
 {

@@ -133,9 +133,6 @@ class Client {
 
     const ClientConfig& config() const { return config_; }
 
-    /** Instantaneous offered load at the current simulation time. */
-    double currentOfferedLoad() const;
-
     /**
      * Visits this client's state in the open snapshot section:
      * counters, arrival cursor, RNG position, and deterministic folds

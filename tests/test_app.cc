@@ -10,6 +10,8 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "uqsim/core/app/dispatcher.h"
@@ -633,10 +635,22 @@ TEST(Dispatcher, UnblockFiltersByServiceAndCountsPerRoot)
     const auto all = blockFilterRun("");
     EXPECT_EQ(all.first, 4u);
     EXPECT_EQ(all.second, (Leaks{0, 0}));
-    // A service no deployment knows matches nothing.
-    const auto none = blockFilterRun("nope");
-    EXPECT_EQ(none.first, 4u);
-    EXPECT_EQ(none.second, (Leaks{2, 4}));
+    // A service no deployment knows is rejected when the dispatcher
+    // is built, instead of silently matching nothing.
+    EXPECT_THROW(blockFilterRun("nope"), std::invalid_argument);
+}
+
+TEST(Dispatcher, UnblockOfUnknownServiceNamesTheClosestOne)
+{
+    try {
+        blockFilterRun("fornt");
+        FAIL() << "a misspelt unblock service must be rejected";
+    } catch (const std::invalid_argument& error) {
+        const std::string message = error.what();
+        EXPECT_NE(message.find("\"fornt\""), std::string::npos);
+        EXPECT_NE(message.find("did you mean \"front\""),
+                  std::string::npos);
+    }
 }
 
 TEST(Dispatcher, MultipleVariantsSampled)

@@ -200,6 +200,26 @@ TEST(PowerManager, EmptyWindowsAreSkipped)
     EXPECT_TRUE(fx.frontDomain.atNominal());
 }
 
+TEST(PowerManager, EachDecisionSeesOnlyItsOwnWindow)
+{
+    ManagerFixture fx;
+    fx.frontDomain.setFrequency(1.2);
+    fx.backDomain.setFrequency(1.2);
+    fx.manager->start();
+    fx.feedWindow(20e-3, 15e-3, 5e-3);  // violating, first interval
+    fx.sim.run(secondsToSimTime(0.15));
+    ASSERT_EQ(fx.manager->violations(), 1u);
+    const double front = fx.frontDomain.frequency();
+    const double back = fx.backDomain.frequency();
+    // Nothing noted in the second interval: its decision must not
+    // re-read the first window's samples.
+    fx.sim.run(secondsToSimTime(0.25));
+    EXPECT_EQ(fx.manager->windows(), 1u);
+    EXPECT_EQ(fx.manager->violations(), 1u);
+    EXPECT_EQ(fx.frontDomain.frequency(), front);
+    EXPECT_EQ(fx.backDomain.frequency(), back);
+}
+
 TEST(PowerManager, LearnsBucketsOverTime)
 {
     ManagerFixture fx;

@@ -75,13 +75,17 @@ TEST(SweepRunner, RunTwiceThrows)
 TEST(SweepRunner, SingleReplicationMatchesSerialSweep)
 {
     // One replication with the base seed must be bitwise identical
-    // to the serial runLoadSweep of the same factory.
+    // to a plain serial loop over the same factory.
     const std::vector<double> loads = {8000.0, 20000.0};
-    const SweepCurve serial =
-        runLoadSweep("thrift", loads, [](double qps) {
-            return Simulation::fromBundle(
-                models::thriftEchoBundle(thriftParams(qps, 1)));
-        });
+    SweepCurve serial;
+    for (double qps : loads) {
+        SweepPoint point;
+        point.offeredQps = qps;
+        point.report = Simulation::fromBundle(
+                           models::thriftEchoBundle(thriftParams(qps, 1)))
+                           ->run();
+        serial.points.push_back(std::move(point));
+    }
 
     runner::RunnerOptions options;
     options.jobs = 2;
